@@ -57,6 +57,7 @@ int main(int argc, char** argv) {
 
   const scenario::ScenarioFactory factory;
   const core::StiCalculator sti;
+  core::RiskSession session;
   const double horizon = sti.tube_computer().params().horizon;
   const double dt = sti.tube_computer().params().dt;
   const dynamics::CvtrPredictor cvtr;
@@ -78,13 +79,14 @@ int main(int argc, char** argv) {
       for (int frac = 1; frac <= 4; ++frac) {
         const int step = episode.samples * frac / 5;
         const auto scene = episode.snapshot_at(step);
-        const double truth = sti.combined(*scene.map, scene.ego.state, common::Seconds{scene.time},
-                                          episode.ground_truth_forecasts(step));
+        const double truth =
+            sti.combined(session, *scene.map, scene.ego.state, common::Seconds{scene.time},
+                         episode.ground_truth_forecasts(step));
         const double with_cvtr =
-            sti.combined(*scene.map, scene.ego.state, common::Seconds{scene.time},
+            sti.combined(session, *scene.map, scene.ego.state, common::Seconds{scene.time},
                          predicted_forecasts(episode, step, cvtr, horizon, dt));
         const double with_ca =
-            sti.combined(*scene.map, scene.ego.state, common::Seconds{scene.time},
+            sti.combined(session, *scene.map, scene.ego.state, common::Seconds{scene.time},
                          predicted_forecasts(episode, step, const_accel, horizon, dt));
         cvtr_err.push_back(std::abs(with_cvtr - truth));
         ca_err.push_back(std::abs(with_ca - truth));

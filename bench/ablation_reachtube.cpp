@@ -88,11 +88,12 @@ int main(int argc, char** argv) {
   // the short-horizon dedup-on configuration for the dedup comparison.
   auto evaluate = [&](const core::ReachTubeParams& params) {
     const core::StiCalculator sti(params);
+    core::RiskSession session;
     std::vector<double> out;
     out.reserve(scenes.size());
     for (const Scene& s : scenes) {
-      out.push_back(
-          sti.combined(*s.snapshot.map, s.snapshot.ego.state, common::Seconds{s.snapshot.time}, s.forecasts));
+      out.push_back(sti.combined(session, *s.snapshot.map, s.snapshot.ego.state,
+                                 common::Seconds{s.snapshot.time}, s.forecasts));
     }
     return out;
   };
@@ -105,13 +106,14 @@ int main(int argc, char** argv) {
     const Config& config = configs[ci];
     const std::vector<double>& reference = ci < 3 ? reference_full : reference_short;
     const core::StiCalculator sti(config.params);
+    core::RiskSession session;
     common::RunningStat value;
     common::RunningStat diff;
     const bench::WallTimer timer;
     for (std::size_t i = 0; i < scenes.size(); ++i) {
       const Scene& s = scenes[i];
-      const double v =
-          sti.combined(*s.snapshot.map, s.snapshot.ego.state, common::Seconds{s.snapshot.time}, s.forecasts);
+      const double v = sti.combined(session, *s.snapshot.map, s.snapshot.ego.state,
+                                    common::Seconds{s.snapshot.time}, s.forecasts);
       value.add(v);
       diff.add(std::abs(v - reference[i]));
     }

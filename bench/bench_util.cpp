@@ -93,7 +93,8 @@ void maybe_write_telemetry(const common::CliArgs& args,
   // the bench ran with --threads=0.
   core::RiskMonitorParams params;
   params.tube.num_threads = std::max(args.get_int("threads", 0), 2);
-  core::RiskMonitor monitor(params);
+  const core::RiskMonitor monitor(params);
+  core::RiskSession session;
   const auto suite =
       scenario::generate_suite(factory, scenario::kAllTypologies[0], 2, kSuiteSeed);
   for (const auto& spec : suite.specs) {
@@ -101,7 +102,7 @@ void maybe_write_telemetry(const common::CliArgs& args,
     agents::LbcAgent agent;
     const int max_steps = static_cast<int>(10.0 / world.dt());
     for (int step = 0; step < max_steps; ++step) {
-      monitor.update(world);
+      monitor.update(session, world);
       world.step(agent.act(world));
       if (world.ego_collided()) break;
     }
@@ -216,6 +217,7 @@ std::optional<std::size_t> select_training_spec(const scenario::ScenarioFactory&
   std::optional<std::size_t> best;
   double best_score = -1.0;
   int checked = 0;
+  core::RiskSession session;
   for (std::size_t i = 0; i < specs.size() && checked < max_checked; ++i) {
     agents::LbcAgent lbc;
     const eval::EpisodeResult r = eval::run_episode(factory.build(specs[i]), lbc);
@@ -226,8 +228,8 @@ std::optional<std::size_t> select_training_spec(const scenario::ScenarioFactory&
     for (int step = std::max(0, r.accident_step - back); step <= r.accident_step;
          step += 4) {
       const auto scene = r.snapshot_at(step);
-      window.add(sti.combined(*scene.map, scene.ego.state, common::Seconds{scene.time},
-                              r.ground_truth_forecasts(step)));
+      window.add(sti.combined(session, *scene.map, scene.ego.state,
+                              common::Seconds{scene.time}, r.ground_truth_forecasts(step)));
     }
     if (window.count() > 0 && window.mean() > best_score) {
       best_score = window.mean();

@@ -16,8 +16,7 @@
 //     --benchmark_out=BENCH_tube_hotpath.json --benchmark_out_format=json
 //
 // The BM_CounterfactualFanout family sweeps actor count N for the full STI
-// evaluation under both counterfactual engines — from-scratch N+2
-// propagations vs the shared-wavefront delta engine (DESIGN.md §12).
+// evaluation on the shared-wavefront counterfactual engine (DESIGN.md §12).
 // Recorded as BENCH_counterfactual_delta.json:
 //   ./overheads --require-release \
 //     --benchmark_filter=BM_CounterfactualFanout \
@@ -29,6 +28,11 @@
 //   ./overheads --require-release \
 //     --benchmark_filter=BM_GeomKernel \
 //     --benchmark_out=BENCH_geom_kernel.json --benchmark_out_format=json
+//
+// The tube and STI benchmarks build a fresh core::RiskSession inside the
+// timed loop: they time the cold call (scratch allocated and reserved per
+// iteration, as `scratch_reserve` intends), which is what the recorded
+// baselines hold.
 #include <cmath>
 #include <cstddef>
 #include <unordered_map>
@@ -240,8 +244,9 @@ void BM_TubeHotpathFlat(ubench::State& state) {
   const auto forecasts = core::cvtr_forecasts(f.world, 3.0, 0.25);
   const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{f.world.time()});
   for (auto _ : state) {
-    const auto tube =
-        rt.compute(f.world.map(), f.world.ego().state, obstacles, common::ActorId::none());
+    core::RiskSession session;
+    const auto tube = rt.compute(session, f.world.map(), f.world.ego().state, obstacles,
+                                 common::ActorId::none());
     ubench::DoNotOptimize(tube.volume);
   }
 }
@@ -277,8 +282,9 @@ void BM_ReachTube(ubench::State& state) {
   const core::ReachTubeComputer rt;
   const auto forecasts = core::cvtr_forecasts(f.world, 3.0, 0.25);
   for (auto _ : state) {
-    const auto tube =
-        rt.compute(f.world.map(), f.world.ego().state, common::Seconds{f.world.time()}, forecasts);
+    core::RiskSession session;
+    const auto tube = rt.compute(session, f.world.map(), f.world.ego().state,
+                                 common::Seconds{f.world.time()}, forecasts);
     ubench::DoNotOptimize(tube.volume);
   }
 }
@@ -289,8 +295,9 @@ void BM_StiCombined(ubench::State& state) {
   const core::StiCalculator sti;
   const auto forecasts = core::cvtr_forecasts(f.world, 3.0, 0.25);
   for (auto _ : state) {
-    ubench::DoNotOptimize(
-        sti.combined(f.world.map(), f.world.ego().state, common::Seconds{f.world.time()}, forecasts));
+    core::RiskSession session;
+    ubench::DoNotOptimize(sti.combined(session, f.world.map(), f.world.ego().state,
+                                       common::Seconds{f.world.time()}, forecasts));
   }
 }
 UBENCH(BM_StiCombined);
@@ -302,8 +309,9 @@ void BM_StiFullPerActor(ubench::State& state) {
   const core::StiCalculator sti;
   const auto forecasts = core::cvtr_forecasts(f.world, 3.0, 0.25);
   for (auto _ : state) {
-    const auto r =
-        sti.compute(f.world.map(), f.world.ego().state, common::Seconds{f.world.time()}, forecasts);
+    core::RiskSession session;
+    const auto r = sti.compute(session, f.world.map(), f.world.ego().state,
+                               common::Seconds{f.world.time()}, forecasts);
     ubench::DoNotOptimize(r.combined);
   }
 }
@@ -323,8 +331,9 @@ void BM_StiFullPerActorThreads(ubench::State& state) {
   const core::StiCalculator sti(params);
   const auto forecasts = core::cvtr_forecasts(f.world, 3.0, 0.25);
   for (auto _ : state) {
-    const auto r =
-        sti.compute(f.world.map(), f.world.ego().state, common::Seconds{f.world.time()}, forecasts);
+    core::RiskSession session;
+    const auto r = sti.compute(session, f.world.map(), f.world.ego().state,
+                               common::Seconds{f.world.time()}, forecasts);
     ubench::DoNotOptimize(r.combined);
   }
 }
@@ -335,10 +344,9 @@ UBENCH(BM_StiFullPerActorThreads)->Arg(0)->Arg(2)->Arg(4)->Arg(8);
 // counterfactual engine (DESIGN.md §12). The scene keeps the fixture's three
 // live nearby actors (real blockers → real delta replays) and pads to N with
 // static actors distributed on a far ring — outside every slice's reachable
-// disc, so their counterfactuals are free under the delta engine but still
-// cost a full propagation each under the scratch engine. This is the sparse
-// many-actor regime the O(W + Σδᵢ) claim is about; the delta/scratch ratio
-// should grow roughly linearly with N.
+// disc, so their counterfactuals are free (a from-scratch engine would pay a
+// full propagation for each). This is the sparse many-actor regime the
+// O(W + Σδᵢ) claim is about: the time should stay nearly flat in N.
 
 std::vector<core::ActorForecast> fanout_forecasts(std::int64_t n) {
   auto& f = fixture();
@@ -366,29 +374,15 @@ std::vector<core::ActorForecast> fanout_forecasts(std::int64_t n) {
   return forecasts;
 }
 
-void BM_CounterfactualFanoutScratch(ubench::State& state) {
-  auto& f = fixture();
-  core::ReachTubeParams params;
-  params.delta_counterfactuals = false;  // N+2 independent propagations
-  const core::StiCalculator sti(params);
-  const auto forecasts = fanout_forecasts(state.range(0));
-  for (auto _ : state) {
-    const auto r =
-        sti.compute(f.world.map(), f.world.ego().state, common::Seconds{f.world.time()}, forecasts);
-    ubench::DoNotOptimize(r.combined);
-  }
-}
-UBENCH(BM_CounterfactualFanoutScratch)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
-
 void BM_CounterfactualFanoutDelta(ubench::State& state) {
   auto& f = fixture();
-  core::ReachTubeParams params;
-  params.delta_counterfactuals = true;  // one attributed propagation + replays
-  const core::StiCalculator sti(params);
+  // One attributed propagation plus memoized replays.
+  const core::StiCalculator sti;
   const auto forecasts = fanout_forecasts(state.range(0));
   for (auto _ : state) {
-    const auto r =
-        sti.compute(f.world.map(), f.world.ego().state, common::Seconds{f.world.time()}, forecasts);
+    core::RiskSession session;
+    const auto r = sti.compute(session, f.world.map(), f.world.ego().state,
+                               common::Seconds{f.world.time()}, forecasts);
     ubench::DoNotOptimize(r.combined);
   }
 }

@@ -32,6 +32,7 @@ int main() {
     double actor_sti;
   };
   std::vector<Hit> hits;
+  core::RiskSession session;  // reused across every scanned step
 
   for (std::size_t li = 0; li < logs.size(); ++li) {
     const auto& log = logs[li];
@@ -39,7 +40,8 @@ int main() {
     for (int step = 0; step < log.samples(); step += 5) {
       const auto scene = log.snapshot_at(step);
       const auto forecasts = log.forecasts_at(step);
-      const auto result = sti.compute(log.map(), scene.ego.state, common::Seconds{scene.time}, forecasts);
+      const auto result = sti.compute(session, log.map(), scene.ego.state,
+                                      common::Seconds{scene.time}, forecasts);
       if (result.combined > best.combined) {
         best.step = step;
         best.combined = result.combined;

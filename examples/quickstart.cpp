@@ -53,8 +53,12 @@ int main() {
 
   // 4. Compute STI: one reach-tube with everyone present, one per-actor
   //    counterfactual, one with the road empty (Eqs. 1-5).
+  //    The calculator is an immutable engine; the session holds its scratch
+  //    (reuse one session per stream of evaluations).
   const core::StiCalculator sti;
-  const core::StiResult result = sti.compute(*map, ego, /*t0=*/common::Seconds{0.0}, forecasts);
+  core::RiskSession session;
+  const core::StiResult result =
+      sti.compute(session, *map, ego, /*t0=*/common::Seconds{0.0}, forecasts);
 
   std::cout << "Escape-route volume |T|      : " << result.volume_all << "\n";
   std::cout << "Empty-road volume   |T^null| : " << result.volume_empty << "\n";

@@ -24,6 +24,7 @@ int main() {
   sim::World world = factory.build(spec);
   agents::LbcAgent lbc;
   const core::StiCalculator sti;
+  core::RiskSession session;
 
   const double probe_times[] = {0.5, 3.0, 5.0, 6.5};
   std::size_t next_probe = 0;
@@ -35,7 +36,8 @@ int main() {
 
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
     const auto result =
-        sti.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
+        sti.compute(session, world.map(), world.ego().state, common::Seconds{world.time()},
+                    forecasts);
     std::cout << "t = " << world.time() << " s — STI(combined) = " << result.combined;
     for (const auto& [id, v] : result.per_actor) {
       std::cout << ", STI(actor " << id << ") = " << v;

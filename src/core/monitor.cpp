@@ -37,12 +37,6 @@ RiskMonitor::RiskMonitor(const RiskMonitorParams& params, common::ThreadPool* po
                "RiskMonitorParams: hysteresis_updates must be >= 1");
 }
 
-void RiskMonitor::reset() { session_.reset(); }
-
-RiskMonitor::Assessment RiskMonitor::update(const sim::World& world) {
-  return update(session_, world);
-}
-
 RiskMonitor::Assessment RiskMonitor::update(RiskSession& session,
                                             const sim::World& world) const {
   IPRISM_SCOPED_TIMER("monitor.update", "monitor");

@@ -46,10 +46,9 @@ struct RiskMonitorParams {
 
 /// An immutable engine after construction (DESIGN.md §14): params plus the
 /// embedded STI engine. All mutable monitoring state — level, quiet streak,
-/// update count — lives in a RiskSession, so one monitor serves any number
-/// of concurrent streams, each with its own session. The session-less
-/// overloads below run against a monitor-owned session, preserving the
-/// pre-split single-stream API and semantics exactly.
+/// update count — lives in the RiskSession each update() is handed, so one
+/// monitor serves any number of concurrent streams, each with its own
+/// session (read RiskSession::level() / updates() for a stream's state).
 class RiskMonitor {
  public:
   /// `pool` is forwarded to the STI engine: null = the process-wide
@@ -73,26 +72,11 @@ class RiskMonitor {
   /// concurrent calls with *distinct* sessions are safe on one monitor.
   Assessment update(RiskSession& session, const sim::World& world) const;
 
-  /// Single-stream form: runs against the monitor's own session.
-  Assessment update(const sim::World& world);
-
   const StiCalculator& sti_calculator() const { return sti_; }
-
-  // Owned-session accessors (the legacy single-stream API; for external
-  // sessions read RiskSession::level() / updates() directly).
-  RiskLevel level() const { return session_.level(); }
-  /// Number of updates processed so far.
-  long updates() const { return session_.updates(); }
-
-  /// Forgets the owned session's state (level back to kSafe).
-  void reset();
 
  private:
   RiskMonitorParams params_;
   StiCalculator sti_;
-  /// Backs the session-less update() overload. Not touched by the
-  /// session-first overload.
-  RiskSession session_;
 };
 
 }  // namespace iprism::core

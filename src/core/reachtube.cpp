@@ -62,6 +62,15 @@ bool bits_equal(const dynamics::VehicleState& a, const dynamics::VehicleState& b
   return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
+/// A non-finite seed state propagates NaN through every slice and yields a
+/// meaningless volume (0 or 1 cell) instead of an error, so the tube entry
+/// points reject it up front.
+void check_ego(const dynamics::VehicleState& ego) {
+  IPRISM_CHECK(std::isfinite(ego.x) && std::isfinite(ego.y) && std::isfinite(ego.heading) &&
+                   std::isfinite(ego.speed),
+               "ReachTube: ego state must be finite");
+}
+
 }  // namespace
 
 void ObstacleTimeline::finalize() {
@@ -508,6 +517,12 @@ void ReachTubeComputer::check_timelines(std::span<const ObstacleTimeline> obstac
     IPRISM_CHECK(obs.circumradius_by_slice.size() == obs.by_slice.size(),
                  "ReachTube: obstacle timeline missing precomputed circumradii "
                  "(build via sample_obstacles or call ObstacleTimeline::finalize)");
+    for (std::size_t j = 0; j < obs.by_slice.size(); ++j) {
+      const geom::Vec2& c = obs.by_slice[j].center();
+      IPRISM_CHECK(std::isfinite(c.x) && std::isfinite(c.y) &&
+                       std::isfinite(obs.circumradius_by_slice[j]),
+                   "ReachTube: obstacle footprint must be finite");
+    }
   }
 }
 
@@ -515,6 +530,7 @@ ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::Drivab
                                      const dynamics::VehicleState& ego,
                                      std::span<const ObstacleTimeline> obstacles,
                                      common::ActorId exclude) const {
+  check_ego(ego);
   check_timelines(obstacles);
 
   // Telemetry at compute() granularity only: the per-state hot loop stays
@@ -571,22 +587,11 @@ ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::Drivab
   return tube;
 }
 
-ReachTube ReachTubeComputer::compute(const roadmap::DrivableMap& map,
-                                     const dynamics::VehicleState& ego,
-                                     std::span<const ObstacleTimeline> obstacles,
-                                     common::ActorId exclude) const {
-  // Legacy session-less form: a transient session leases a cold scratch and
-  // throws it away. Bit-identical by construction — the session only decides
-  // *where* scratch comes from, never what the propagation computes
-  // (DESIGN.md §9/§14).
-  RiskSession session;
-  return compute(session, map, ego, obstacles, exclude);
-}
-
 AttributedTube ReachTubeComputer::compute_attributed(
     RiskSession& session, const roadmap::DrivableMap& map,
     const dynamics::VehicleState& ego,
     std::span<const ObstacleTimeline> obstacles) const {
+  check_ego(ego);
   check_timelines(obstacles);
   IPRISM_SCOPED_TIMER("reachtube.compute_attributed", "reachtube");
 
@@ -699,13 +704,6 @@ AttributedTube ReachTubeComputer::compute_attributed(
   return out;
 }
 
-AttributedTube ReachTubeComputer::compute_attributed(
-    const roadmap::DrivableMap& map, const dynamics::VehicleState& ego,
-    std::span<const ObstacleTimeline> obstacles) const {
-  RiskSession session;
-  return compute_attributed(session, map, ego, obstacles);
-}
-
 ReachTube ReachTubeComputer::replay_counterfactual(
     RiskSession& session, const roadmap::DrivableMap& map,
     const dynamics::VehicleState& ego, std::span<const ObstacleTimeline> obstacles,
@@ -816,15 +814,6 @@ ReachTube ReachTubeComputer::compute_counterfactual(
                                /*exclude_all=*/false, exclude_index, stats);
 }
 
-ReachTube ReachTubeComputer::compute_counterfactual(
-    const roadmap::DrivableMap& map, const dynamics::VehicleState& ego,
-    std::span<const ObstacleTimeline> obstacles, const AttributedTube& base,
-    std::size_t exclude_index, CounterfactualStats* stats) const {
-  RiskSession session;
-  return compute_counterfactual(session, map, ego, obstacles, base, exclude_index,
-                                stats);
-}
-
 ReachTube ReachTubeComputer::compute_unblocked(RiskSession& session,
                                                const roadmap::DrivableMap& map,
                                                const dynamics::VehicleState& ego,
@@ -835,15 +824,6 @@ ReachTube ReachTubeComputer::compute_unblocked(RiskSession& session,
                                /*exclude_all=*/true, /*exclude_index=*/0, stats);
 }
 
-ReachTube ReachTubeComputer::compute_unblocked(const roadmap::DrivableMap& map,
-                                               const dynamics::VehicleState& ego,
-                                               std::span<const ObstacleTimeline> obstacles,
-                                               const AttributedTube& base,
-                                               CounterfactualStats* stats) const {
-  RiskSession session;
-  return compute_unblocked(session, map, ego, obstacles, base, stats);
-}
-
 ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::DrivableMap& map,
                                      const dynamics::VehicleState& ego,
                                      common::Seconds t0,
@@ -851,15 +831,6 @@ ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::Drivab
                                      common::ActorId exclude) const {
   const auto obstacles = sample_obstacles(forecasts, t0);
   return compute(session, map, ego, obstacles, exclude);
-}
-
-ReachTube ReachTubeComputer::compute(const roadmap::DrivableMap& map,
-                                     const dynamics::VehicleState& ego,
-                                     common::Seconds t0,
-                                     std::span<const ActorForecast> forecasts,
-                                     common::ActorId exclude) const {
-  RiskSession session;
-  return compute(session, map, ego, t0, forecasts, exclude);
 }
 
 }  // namespace iprism::core

@@ -66,13 +66,6 @@ struct ReachTubeParams {
   /// result, only wall-clock (DESIGN.md §8). RiskMonitorParams::tube and
   /// SmcTrainConfig::tube plumb it into the monitor and SMC training.
   int num_threads = 0;
-  /// Shared-wavefront counterfactual engine (DESIGN.md §12): propagate the
-  /// base tube once with blocked-by attribution, then derive every |T^{-i}|
-  /// and |T^{∅}| by memoized replay from the first slice actor i changed.
-  /// Results are bit-identical to the from-scratch fan-out for any value of
-  /// this flag (enforced by the CounterfactualDeltaIdentity suites); false
-  /// restores the N+2 independent propagations for A/B benchmarking.
-  bool delta_counterfactuals = true;
   /// Initial reserve (entries) for the per-compute() scratch containers;
   /// 0 = auto (min(max_states_per_slice, 4096)). Purely a performance hint:
   /// the scratch is built on common::FlatHashGrid, whose iteration order is
@@ -223,15 +216,14 @@ class ReachTubeComputer {
   std::vector<ObstacleTimeline> sample_obstacles(
       std::span<const ActorForecast> forecasts, common::Seconds t0) const;
 
-  // Every computation below comes in two forms (engine/session split,
-  // DESIGN.md §14): the session-first form leases its scratch from the given
-  // RiskSession — warm after the first call, so a reused session performs
-  // zero steady-state scratch allocations across ticks — and the legacy
-  // session-less form, a thin wrapper constructing a transient session.
-  // Both are const: the computer is an immutable engine; all mutation lands
-  // in the session. Results are bit-identical between the two forms and
-  // across fresh vs reused sessions (enforced by the SessionIdentity and
-  // TubeAlloc suites).
+  // Every computation below is session-first (engine/session split,
+  // DESIGN.md §14): it leases its scratch from the given RiskSession — warm
+  // after the first call, so a reused session performs zero steady-state
+  // scratch allocations across ticks. All are const: the computer is an
+  // immutable engine; all mutation lands in the session. Results are
+  // bit-identical across fresh vs reused sessions (enforced by the
+  // SessionIdentity and TubeAlloc suites). A non-finite ego state or
+  // obstacle box is rejected with std::invalid_argument.
 
   /// Computes the tube from `ego` at t0 against the given obstacles.
   /// A valid `exclude` drops that actor — the counterfactual "what if
@@ -240,53 +232,34 @@ class ReachTubeComputer {
                     const dynamics::VehicleState& ego,
                     std::span<const ObstacleTimeline> obstacles,
                     common::ActorId exclude = common::ActorId::none()) const;
-  ReachTube compute(const roadmap::DrivableMap& map, const dynamics::VehicleState& ego,
-                    std::span<const ObstacleTimeline> obstacles,
-                    common::ActorId exclude = common::ActorId::none()) const;
 
   /// Convenience: forecast sampling + tube in one call.
   ReachTube compute(RiskSession& session, const roadmap::DrivableMap& map,
                     const dynamics::VehicleState& ego, common::Seconds t0,
                     std::span<const ActorForecast> forecasts,
                     common::ActorId exclude = common::ActorId::none()) const;
-  ReachTube compute(const roadmap::DrivableMap& map, const dynamics::VehicleState& ego,
-                    common::Seconds t0, std::span<const ActorForecast> forecasts,
-                    common::ActorId exclude = common::ActorId::none()) const;
 
   /// One attributed base propagation: the tube is bit-identical to
-  /// compute(map, ego, obstacles) — attribution only *records*, it never
-  /// steers — plus the blocked-by record the replays below consume.
+  /// compute(session, map, ego, obstacles) — attribution only *records*, it
+  /// never steers — plus the blocked-by record the replays below consume.
   AttributedTube compute_attributed(RiskSession& session, const roadmap::DrivableMap& map,
-                                    const dynamics::VehicleState& ego,
-                                    std::span<const ObstacleTimeline> obstacles) const;
-  AttributedTube compute_attributed(const roadmap::DrivableMap& map,
                                     const dynamics::VehicleState& ego,
                                     std::span<const ObstacleTimeline> obstacles) const;
 
   /// |T^{-i}| for `obstacles[exclude_index]` by memoized replay of `base`.
-  /// Bit-identical to compute(map, ego, obstacles, obstacles[i].actor_id)
-  /// when actor ids are unique; `base` must come from compute_attributed over
-  /// the same (map, ego, obstacles). When the obstacle rejected nothing the
+  /// Bit-identical to compute(session, map, ego, obstacles,
+  /// obstacles[i].actor_id) when actor ids are unique; `base` must come from
+  /// compute_attributed over the same (map, ego, obstacles). When the obstacle rejected nothing the
   /// base tube is returned verbatim (stats->free, zero re-expansion).
   ReachTube compute_counterfactual(RiskSession& session, const roadmap::DrivableMap& map,
                                    const dynamics::VehicleState& ego,
                                    std::span<const ObstacleTimeline> obstacles,
                                    const AttributedTube& base, std::size_t exclude_index,
                                    CounterfactualStats* stats = nullptr) const;
-  ReachTube compute_counterfactual(const roadmap::DrivableMap& map,
-                                   const dynamics::VehicleState& ego,
-                                   std::span<const ObstacleTimeline> obstacles,
-                                   const AttributedTube& base, std::size_t exclude_index,
-                                   CounterfactualStats* stats = nullptr) const;
 
   /// |T^{∅}| by replay with *all* blockers lifted. Bit-identical to
-  /// compute(map, ego, {}) — an empty obstacles span.
+  /// compute(session, map, ego, {}) — an empty obstacles span.
   ReachTube compute_unblocked(RiskSession& session, const roadmap::DrivableMap& map,
-                              const dynamics::VehicleState& ego,
-                              std::span<const ObstacleTimeline> obstacles,
-                              const AttributedTube& base,
-                              CounterfactualStats* stats = nullptr) const;
-  ReachTube compute_unblocked(const roadmap::DrivableMap& map,
                               const dynamics::VehicleState& ego,
                               std::span<const ObstacleTimeline> obstacles,
                               const AttributedTube& base,
@@ -368,7 +341,8 @@ class ReachTubeComputer {
                         common::SliceIdx slice) const;
 
   /// Fail-fast validation that every timeline was sliced for these params
-  /// and carries precomputed circumradii.
+  /// and carries precomputed circumradii, with finite box centres and radii
+  /// (a NaN footprint intersects nothing and would silently vanish).
   void check_timelines(std::span<const ObstacleTimeline> obstacles) const;
 
   /// Full-attribution variant of state_ok: never stops at the first

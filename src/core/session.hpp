@@ -9,10 +9,10 @@
 // stream) and the monitor's level/hysteresis counters.
 //
 // One engine serves any number of sessions concurrently; one session serves
-// one stream at a time. Results are bit-identical whether a session is fresh
-// or reused, and identical to the legacy session-less entry points (which
-// now build a transient session internally) — the SessionIdentity suites
-// enforce this.
+// one stream at a time. Every engine entry point takes the session first
+// (the lone exception is the cold-session StiCalculator::combined reference,
+// see core/sti.hpp). Results are bit-identical whether a session is fresh or
+// reused — the SessionIdentity suites enforce this.
 #pragma once
 
 #include <memory>

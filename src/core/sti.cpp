@@ -29,12 +29,12 @@ namespace {
 
 double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 
-/// The delta engine excludes counterfactual actors by obstacle *index*; the
-/// from-scratch reference excludes by ActorId, which removes every timeline
+/// Replays exclude counterfactual actors by obstacle *index*; Eq. 4's
+/// "actor i removed" excludes by ActorId, which removes every timeline
 /// carrying that id. The two agree exactly when no valid id repeats — the
 /// normal case, since forecasts come one per actor. Duplicate ids (possible
-/// with hand-built forecast lists) fall back to from-scratch per-actor tubes
-/// so the engines stay bit-identical.
+/// with hand-built forecast lists) fall back to a from-scratch
+/// compute(..., id) per actor.
 bool has_duplicate_valid_ids(std::span<const ActorForecast> forecasts) {
   std::vector<int> ids;
   ids.reserve(forecasts.size());
@@ -51,9 +51,6 @@ StiResult StiCalculator::compute(RiskSession& session, const roadmap::DrivableMa
                                  const dynamics::VehicleState& ego, common::Seconds t0,
                                  std::span<const ActorForecast> forecasts) const {
   const auto obstacles = tube_.sample_obstacles(forecasts, t0);
-  if (!tube_.params().delta_counterfactuals) {
-    return compute_scratch(session, map, ego, obstacles, forecasts);
-  }
 
   StiResult out;
   // Wave 1: one attributed propagation — |T| plus the blocked-by record
@@ -150,72 +147,10 @@ StiResult StiCalculator::compute(RiskSession& session, const roadmap::DrivableMa
   return out;
 }
 
-StiResult StiCalculator::compute_scratch(RiskSession& session,
-                                         const roadmap::DrivableMap& map,
-                                         const dynamics::VehicleState& ego,
-                                         std::span<const ObstacleTimeline> obstacles,
-                                         std::span<const ActorForecast> forecasts) const {
-  StiResult out;
-  // Wave 1: |T| and |T^{∅}| together — the degenerate-denominator guard
-  // below needs both before any counterfactual is worth computing. Each tube
-  // is computed whole on one thread; volumes land in index-owned slots.
-  {
-    IPRISM_SCOPED_TIMER("sti.wave1", "sti");
-    double base[2] = {0.0, 0.0};
-    common::parallel_for_each(pool_, 2, [&](std::size_t j) {
-      base[j] = j == 0
-                    ? tube_.compute(session, map, ego, obstacles).volume
-                    : tube_.compute(session, map, ego,
-                                    std::span<const ObstacleTimeline>{})
-                          .volume;
-    });
-    out.volume_all = base[0];
-    out.volume_empty = base[1];
-  }
-  IPRISM_DCHECK(out.volume_all >= 0.0 && out.volume_empty >= 0.0,
-                "STI: tube volumes must be non-negative");
-
-  if (out.volume_empty <= 0.0) {
-    // See the delta path: zero rather than a division by zero.
-    for (const auto& f : forecasts) out.per_actor.emplace_back(f.id, 0.0);
-    return out;
-  }
-
-  out.combined = clamp01((out.volume_empty - out.volume_all) / out.volume_empty);
-
-  // Wave 2: the N counterfactual tubes T^{/i} (Eq. 4), fanned across the
-  // pool. Aggregation is by forecast index, so per_actor keeps input order
-  // and the result is bit-identical to the serial loop.
-  std::vector<double> vol_without(forecasts.size(), 0.0);
-  {
-    IPRISM_SCOPED_TIMER("sti.wave2", "sti");
-    IPRISM_COUNT_ADD("sti.counterfactuals", forecasts.size());
-    common::parallel_for_each(pool_, forecasts.size(), [&](std::size_t i) {
-      IPRISM_SCOPED_TIMER("sti.counterfactual.scratch", "sti");
-      vol_without[i] =
-          tube_.compute(session, map, ego, obstacles, common::ActorId{forecasts[i].id})
-              .volume;
-    });
-  }
-
-  out.per_actor.reserve(forecasts.size());
-  for (std::size_t i = 0; i < forecasts.size(); ++i) {
-    IPRISM_DCHECK(std::isfinite(vol_without[i]),
-                  "STI: counterfactual volume must be finite");
-    out.per_actor.emplace_back(
-        forecasts[i].id,
-        clamp01((vol_without[i] - out.volume_all) / out.volume_empty));
-  }
-  return out;
-}
-
 double StiCalculator::combined(RiskSession& session, const roadmap::DrivableMap& map,
                                const dynamics::VehicleState& ego, common::Seconds t0,
                                std::span<const ActorForecast> forecasts) const {
   const auto obstacles = tube_.sample_obstacles(forecasts, t0);
-  if (!tube_.params().delta_counterfactuals) {
-    return combined_scratch(session, map, ego, obstacles);
-  }
   IPRISM_SCOPED_TIMER("sti.combined", "sti");
   // One attributed propagation; |T^{∅}| derives from it by replay (free when
   // nothing was actor-blocked), so the two-tube wave is now one-plus-a-delta.
@@ -233,38 +168,11 @@ double StiCalculator::combined(RiskSession& session, const roadmap::DrivableMap&
   return clamp01((vol_empty - vol_all) / vol_empty);
 }
 
-double StiCalculator::combined_scratch(RiskSession& session,
-                                       const roadmap::DrivableMap& map,
-                                       const dynamics::VehicleState& ego,
-                                       std::span<const ObstacleTimeline> obstacles) const {
-  IPRISM_SCOPED_TIMER("sti.combined", "sti");
-  double base[2] = {0.0, 0.0};
-  common::parallel_for_each(pool_, 2, [&](std::size_t j) {
-    base[j] = j == 0
-                  ? tube_.compute(session, map, ego, obstacles).volume
-                  : tube_.compute(session, map, ego, std::span<const ObstacleTimeline>{})
-                        .volume;
-  });
-  const double vol_all = base[0];
-  const double vol_empty = base[1];
-  IPRISM_DCHECK(vol_all >= 0.0 && vol_empty >= 0.0,
-                "STI: tube volumes must be non-negative");
-  if (vol_empty <= 0.0) return 0.0;
-  return clamp01((vol_empty - vol_all) / vol_empty);
-}
-
-StiResult StiCalculator::compute(const roadmap::DrivableMap& map,
-                                 const dynamics::VehicleState& ego, common::Seconds t0,
-                                 std::span<const ActorForecast> forecasts) const {
-  // Legacy session-less form: transient session, cold scratch, identical
-  // bits (the session only supplies scratch storage — DESIGN.md §14).
-  RiskSession session;
-  return compute(session, map, ego, t0, forecasts);
-}
-
 double StiCalculator::combined(const roadmap::DrivableMap& map,
                                const dynamics::VehicleState& ego, common::Seconds t0,
                                std::span<const ActorForecast> forecasts) const {
+  // Transient session, cold scratch, identical bits: the session only
+  // supplies scratch storage (DESIGN.md §14).
   RiskSession session;
   return combined(session, map, ego, t0, forecasts);
 }

@@ -36,16 +36,15 @@ struct StiResult {
 };
 
 // The N+2 tubes an evaluation needs — |T|, |T^{∅}|, and one counterfactual
-// per actor — share almost their whole wavefront. With the default
-// `ReachTubeParams::delta_counterfactuals`, the base |T| is propagated once
-// with blocked-by attribution and every other tube is derived from it by
-// memoized replay (DESIGN.md §12): actors that rejected nothing are free,
+// per actor — share almost their whole wavefront. The base |T| is propagated
+// once with blocked-by attribution and every other tube is derived from it
+// by memoized replay (DESIGN.md §12): actors that rejected nothing are free,
 // the rest re-run fresh geometry only on their delta wavefront. The N+1
 // derived tubes are independent const reads of the attributed base, so with
 // `num_threads > 0` they fan out over a common::ThreadPool and aggregate by
-// index — parallel results stay bit-identical to serial ones (DESIGN.md §8),
-// and both engines produce bit-identical StiResults (the
-// CounterfactualDeltaIdentity suites enforce this).
+// index — parallel results stay bit-identical to serial ones (DESIGN.md §8).
+// Results equal N+2 independent ReachTubeComputer::compute calls bit for bit
+// (the reference in tests/sti_reference.hpp, enforced by the identity suites).
 class StiCalculator {
  public:
   /// An immutable engine after construction (DESIGN.md §14): every compute
@@ -65,36 +64,26 @@ class StiCalculator {
   const common::ThreadPool* pool() const { return pool_; }
 
   /// Full evaluation: combined STI plus one counterfactual tube per actor
-  /// (Eq. 4 for each i, Eq. 5 for the combined value). The session-first
-  /// form reuses the session's warm scratch across ticks; the session-less
-  /// form builds a transient session. Results are bit-identical either way
-  /// (SessionIdentity suites).
+  /// (Eq. 4 for each i, Eq. 5 for the combined value). Reuses the session's
+  /// warm scratch across ticks; results are bit-identical for fresh and
+  /// reused sessions (SessionIdentity suites).
   StiResult compute(RiskSession& session, const roadmap::DrivableMap& map,
                     const dynamics::VehicleState& ego, common::Seconds t0,
                     std::span<const ActorForecast> forecasts) const;
-  StiResult compute(const roadmap::DrivableMap& map, const dynamics::VehicleState& ego,
-                    common::Seconds t0, std::span<const ActorForecast> forecasts) const;
 
   /// Combined STI only (two tubes instead of N+2) — the quantity the SMC
   /// reward needs at every training step.
   double combined(RiskSession& session, const roadmap::DrivableMap& map,
                   const dynamics::VehicleState& ego, common::Seconds t0,
                   std::span<const ActorForecast> forecasts) const;
+  /// The one session-less entry point left in the core: combined() against a
+  /// transient, cold session. The end-to-end benchmark times it as the
+  /// cold-session reference (`sti.combined_cold_us`); callers on a hot path
+  /// hold a RiskSession instead.
   double combined(const roadmap::DrivableMap& map, const dynamics::VehicleState& ego,
                   common::Seconds t0, std::span<const ActorForecast> forecasts) const;
 
  private:
-  /// The pre-§12 engine: N+2 independent propagations. Kept behind
-  /// `delta_counterfactuals = false` for A/B benchmarking and as the
-  /// from-scratch reference the identity suites compare against.
-  StiResult compute_scratch(RiskSession& session, const roadmap::DrivableMap& map,
-                            const dynamics::VehicleState& ego,
-                            std::span<const ObstacleTimeline> obstacles,
-                            std::span<const ActorForecast> forecasts) const;
-  double combined_scratch(RiskSession& session, const roadmap::DrivableMap& map,
-                          const dynamics::VehicleState& ego,
-                          std::span<const ObstacleTimeline> obstacles) const;
-
   ReachTubeComputer tube_;
   /// Null when params.num_threads == 0 (serial); otherwise the injected pool
   /// or &ThreadPool::shared(). Never owned: the shared pool outlives every

@@ -28,12 +28,13 @@ double StiScanResult::actor_zero_fraction() const {
 StiScanResult scan_logs(std::span<const TrafficLog> logs, const core::StiCalculator& sti,
                         int stride) {
   StiScanResult out;
+  core::RiskSession session;
   for (const TrafficLog& log : logs) {
     for (int step = 0; step < log.samples(); step += stride) {
       const auto scene = log.snapshot_at(step);
       const auto forecasts = log.forecasts_at(step);
       const core::StiResult r =
-          sti.compute(log.map(), scene.ego.state, common::Seconds{scene.time},
+          sti.compute(session, log.map(), scene.ego.state, common::Seconds{scene.time},
                       forecasts);
       out.combined_sti.push_back(r.combined);
       for (const auto& [id, value] : r.per_actor) out.actor_sti.push_back(value);
@@ -46,7 +47,8 @@ std::vector<RankedActor> rank_actors(const TrafficLog& log, int step,
                                      const core::StiCalculator& sti) {
   const auto scene = log.snapshot_at(step);
   const auto forecasts = log.forecasts_at(step);
-  const core::StiResult r = sti.compute(log.map(), scene.ego.state,
+  core::RiskSession session;
+  const core::StiResult r = sti.compute(session, log.map(), scene.ego.state,
                                         common::Seconds{scene.time}, forecasts);
   std::vector<RankedActor> ranked;
   ranked.reserve(r.per_actor.size());

@@ -114,8 +114,9 @@ std::string render_world(const sim::World& world, bool with_tube,
   if (!with_tube) return render_scene(scene, nullptr, options);
   const core::ReachTubeComputer rt;
   const auto forecasts = core::cvtr_forecasts(world, rt.params().horizon, rt.params().dt);
-  const core::ReachTube tube =
-      rt.compute(world.map(), scene.ego.state, common::Seconds{scene.time}, forecasts);
+  core::RiskSession session;
+  const core::ReachTube tube = rt.compute(session, world.map(), scene.ego.state,
+                                          common::Seconds{scene.time}, forecasts);
   return render_scene(scene, &tube, options);
 }
 

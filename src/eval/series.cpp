@@ -22,8 +22,11 @@ std::vector<double> risk_series(const EpisodeResult& episode, const RiskFn& fn,
 RiskFn sti_risk(const core::StiCalculator& calc) {
   return [&calc](const core::SceneSnapshot& scene,
                  const std::vector<core::ActorForecast>& forecasts) {
-    return calc.combined(*scene.map, scene.ego.state, common::Seconds{scene.time},
-                         forecasts);
+    // A RiskFn may be called from several threads at once, and a session
+    // serves one caller at a time, so each evaluation gets its own.
+    core::RiskSession session;
+    return calc.combined(session, *scene.map, scene.ego.state,
+                         common::Seconds{scene.time}, forecasts);
   };
 }
 

@@ -34,16 +34,6 @@ StreamOutcome StreamRunner::run_stream(std::size_t index, const WorldMaker& worl
   out.stream = index;
   out.label = options_.label_prefix + "." + std::to_string(index);
 
-#if IPRISM_TELEMETRY_ENABLED
-  // Per-stream metric labels are runtime-built names, which the literal-only
-  // IPRISM_* macros cannot cache — so this (alone) talks to the registry
-  // directly. References are stable for the registry's lifetime; the lookup
-  // is hoisted out of the step loop.
-  auto& registry = common::telemetry::MetricsRegistry::instance();
-  common::telemetry::Counter& updates_counter = registry.counter(out.label + ".updates");
-  common::telemetry::Histogram& update_hist = registry.histogram(out.label + ".update_ns");
-#endif
-
   sim::World world = world_maker(index);
   IPRISM_CHECK(world.has_ego(), "StreamRunner: world maker produced a world without an ego");
   std::unique_ptr<agents::DrivingAgent> agent;
@@ -57,14 +47,7 @@ StreamOutcome StreamRunner::run_stream(std::size_t index, const WorldMaker& worl
   const int max_steps = static_cast<int>(options_.max_seconds / world.dt());
   for (int step = 0; step < max_steps; ++step) {
     const core::RiskLevel before = session.level();
-#if IPRISM_TELEMETRY_ENABLED
-    const std::uint64_t begin_ns = common::telemetry::trace_now_ns();
-#endif
     const core::RiskMonitor::Assessment assessment = monitor_.update(session, world);
-#if IPRISM_TELEMETRY_ENABLED
-    update_hist.record(common::telemetry::trace_now_ns() - begin_ns);
-    updates_counter.add(1);
-#endif
     sti_sum += assessment.sti_combined;
     out.max_sti = std::max(out.max_sti, assessment.sti_combined);
     if (assessment.level > before) ++out.escalations;

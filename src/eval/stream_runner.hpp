@@ -32,7 +32,7 @@ namespace iprism::eval {
 /// Per-stream result summary, index-owned during the concurrent run.
 struct StreamOutcome {
   std::size_t stream = 0;
-  std::string label;           ///< "<label_prefix>.<index>" — also the telemetry label
+  std::string label;           ///< "<label_prefix>.<index>"
   int steps = 0;               ///< world steps taken
   long monitor_updates = 0;    ///< session's update count (== steps)
   double max_sti = 0.0;        ///< highest combined STI seen
@@ -58,7 +58,9 @@ class StreamRunner {
     core::RiskMonitorParams monitor;
     double max_seconds = 10.0;
     bool stop_on_ego_collision = true;
-    /// Prefix for per-stream telemetry metric names and outcome labels.
+    /// Prefix for outcome labels. No per-stream metrics are registered, so
+    /// telemetry cardinality does not grow with the stream count; the fixed
+    /// `monitor.update` timer covers every stream's updates.
     std::string label_prefix = "stream";
   };
 

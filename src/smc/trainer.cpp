@@ -84,6 +84,9 @@ rl::Mlp SmcTrainer::train_once(const std::function<sim::World(int)>& world_facto
   rl::DdqnTrainer ddqn(kFeatureCount, config_.action_count, config_.hidden, config_.ddqn,
                        seed);
   const core::StiCalculator sti(config_.tube);
+  // One session for the whole run: every reward evaluation reuses its warm
+  // tube scratch.
+  core::RiskSession session;
 
   for (int episode = 0; episode < config_.episodes; ++episode) {
     sim::World world = world_factory(episode);
@@ -140,7 +143,7 @@ rl::Mlp SmcTrainer::train_once(const std::function<sim::World(int)>& world_facto
       if (config_.reward.use_sti && !collided) {
         const auto forecasts =
             core::cvtr_forecasts(world, config_.tube.horizon, config_.tube.dt);
-        sti_combined = sti.combined(world.map(), world.ego().state,
+        sti_combined = sti.combined(session, world.map(), world.ego().state,
                                     common::Seconds{world.time()}, forecasts);
       } else if (collided) {
         sti_combined = 1.0;  // escape routes exhausted by definition (§II)

@@ -83,13 +83,14 @@ TEST(CurvedWorld, RingQueriesSeeLeadAcrossTheSeam) {
 TEST(CurvedWorld, StiSeesBlockedRingLane) {
   auto map = std::make_shared<roadmap::RingRoad>(2, 3.5, 30.0);
   const core::StiCalculator sti;
+  core::RiskSession session;
   const dynamics::CvtrPredictor pred;
   const auto ego = lane_state(*map, 0, 10.0, 8.0);
   // Stopped car 12 m ahead around the arc in the ego's lane.
   auto blocker = lane_state(*map, 0, 22.0, 0.0);
   std::vector<core::ActorForecast> forecasts = {
       {1, pred.predict(blocker, 0.0_s, 4.0_s, 0.25_s), {4.5, 2.0}}};
-  const auto r = sti.compute(*map, ego, 0.0_s, forecasts);
+  const auto r = sti.compute(session, *map, ego, 0.0_s, forecasts);
   EXPECT_GT(r.volume_empty, 100.0);  // the tube follows the arc
   EXPECT_GT(r.combined, 0.1);
   EXPECT_DOUBLE_EQ(r.per_actor[0].second, r.combined);
@@ -98,8 +99,9 @@ TEST(CurvedWorld, StiSeesBlockedRingLane) {
 TEST(CurvedWorld, StiZeroOnEmptySCurve) {
   auto map = std::make_shared<roadmap::PolylineRoad>(roadmap::PolylineRoad::s_curve(3, 3.5));
   const core::StiCalculator sti;
+  core::RiskSession session;
   const auto ego = lane_state(*map, 1, 20.0, 8.0);
-  const core::StiResult r = sti.compute(*map, ego, 0.0_s, {});
+  const core::StiResult r = sti.compute(session, *map, ego, 0.0_s, {});
   EXPECT_DOUBLE_EQ(r.combined, 0.0);
   EXPECT_GT(r.volume_empty, 100.0);
 }

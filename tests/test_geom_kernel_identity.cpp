@@ -36,6 +36,7 @@
 #include "scenario/factory.hpp"
 #include "scenario/spec.hpp"
 #include "sim/world.hpp"
+#include "sti_reference.hpp"
 
 namespace iprism {
 namespace {
@@ -422,6 +423,7 @@ void expect_same_tube(const core::ReachTube& a, const core::ReachTube& b) {
 }
 
 TEST(GeomKernelIdentity, FullTubeMatchesScalarReferenceAcrossTypologies) {
+  core::RiskSession session;
   const scenario::ScenarioFactory factory;
   for (scenario::Typology typology : scenario::kAllTypologies) {
     SCOPED_TRACE(std::string(scenario::typology_name(typology)));
@@ -440,7 +442,7 @@ TEST(GeomKernelIdentity, FullTubeMatchesScalarReferenceAcrossTypologies) {
             rt.sample_obstacles(forecasts, common::Seconds{world.time()});
         expect_same_tube(
             reference_tube(world.map(), world.ego().state, obstacles, params),
-            rt.compute(world.map(), world.ego().state, obstacles));
+            rt.compute(session, world.map(), world.ego().state, obstacles));
       }
     }
   }
@@ -457,15 +459,17 @@ TEST(GeomKernelIdentity, AttributedAndReplayMatchScalarReference) {
 
   const core::ReachTubeParams params;
   const core::ReachTubeComputer rt(params);
+  core::RiskSession session;
   const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{world.time()});
   const core::AttributedTube base =
-      rt.compute_attributed(world.map(), world.ego().state, obstacles);
+      rt.compute_attributed(session, world.map(), world.ego().state, obstacles);
   expect_same_tube(reference_tube(world.map(), world.ego().state, obstacles, params),
                    base.tube);
 
   expect_same_tube(
       reference_tube(world.map(), world.ego().state, {}, params),
-      rt.compute_unblocked(world.map(), world.ego().state, obstacles, base, nullptr));
+      rt.compute_unblocked(session, world.map(), world.ego().state, obstacles, base,
+                           nullptr));
 
   for (std::size_t i = 0; i < obstacles.size(); ++i) {
     SCOPED_TRACE("actor_index=" + std::to_string(i));
@@ -475,44 +479,40 @@ TEST(GeomKernelIdentity, AttributedAndReplayMatchScalarReference) {
     }
     expect_same_tube(
         reference_tube(world.map(), world.ego().state, reduced, params),
-        rt.compute_counterfactual(world.map(), world.ego().state, obstacles, base, i,
-                                  nullptr));
+        rt.compute_counterfactual(session, world.map(), world.ego().state, obstacles, base,
+                                  i, nullptr));
   }
 }
 
 TEST(GeomKernelIdentity, StiBitIdenticalAcrossThreadsAndEngines) {
-  // The §13 acceptance matrix: typologies × threads {0,2,4} ×
-  // delta_counterfactuals {on,off} must all produce one bit pattern. Under
-  // the simd-off build (and the sanitizer jobs) this same test pins the
-  // IPRISM_ENABLE_SIMD dimension.
+  // The §13 acceptance matrix: typologies × threads {0,2,4} must all produce
+  // the bits of the from-scratch N+2-tube reference (tests/sti_reference.hpp).
+  // Under the simd-off build (and the sanitizer jobs) this same test pins
+  // the IPRISM_ENABLE_SIMD dimension.
   const scenario::ScenarioFactory factory;
   for (scenario::Typology typology : scenario::kAllTypologies) {
     SCOPED_TRACE(std::string(scenario::typology_name(typology)));
     const sim::World world = typology_world(factory, typology);
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
 
-    const core::StiCalculator reference_calc;
-    const core::StiResult reference = reference_calc.compute(
+    const core::StiResult reference = test::reference_sti(
         world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
 
     for (int threads : {0, 2, 4}) {
-      for (bool delta : {true, false}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " delta=" + std::to_string(delta));
-        core::ReachTubeParams params;
-        params.num_threads = threads;
-        params.delta_counterfactuals = delta;
-        const core::StiCalculator calc(params);
-        const core::StiResult got = calc.compute(
-            world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
-        EXPECT_EQ(reference.combined, got.combined);
-        EXPECT_EQ(reference.volume_all, got.volume_all);
-        EXPECT_EQ(reference.volume_empty, got.volume_empty);
-        ASSERT_EQ(reference.per_actor.size(), got.per_actor.size());
-        for (std::size_t i = 0; i < reference.per_actor.size(); ++i) {
-          EXPECT_EQ(reference.per_actor[i].first, got.per_actor[i].first);
-          EXPECT_EQ(reference.per_actor[i].second, got.per_actor[i].second);
-        }
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      core::ReachTubeParams params;
+      params.num_threads = threads;
+      const core::StiCalculator calc(params);
+      core::RiskSession session;
+      const core::StiResult got = calc.compute(session, world.map(), world.ego().state,
+                                               common::Seconds{world.time()}, forecasts);
+      EXPECT_EQ(reference.combined, got.combined);
+      EXPECT_EQ(reference.volume_all, got.volume_all);
+      EXPECT_EQ(reference.volume_empty, got.volume_empty);
+      ASSERT_EQ(reference.per_actor.size(), got.per_actor.size());
+      for (std::size_t i = 0; i < reference.per_actor.size(); ++i) {
+        EXPECT_EQ(reference.per_actor[i].first, got.per_actor[i].first);
+        EXPECT_EQ(reference.per_actor[i].second, got.per_actor[i].second);
       }
     }
   }

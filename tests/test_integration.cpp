@@ -44,6 +44,7 @@ TEST(Integration, StiRampsToOneAtEveryAccident) {
   const auto suite =
       scenario::generate_suite(factory, scenario::Typology::kRearEnd, 12, 7);
   const core::StiCalculator sti;
+  core::RiskSession session;
   int accidents = 0;
   for (const auto& spec : suite.specs) {
     agents::LbcAgent lbc;
@@ -51,7 +52,7 @@ TEST(Integration, StiRampsToOneAtEveryAccident) {
     if (!r.ego_accident) continue;
     ++accidents;
     const auto scene = r.snapshot_at(r.accident_step);
-    const double v = sti.combined(*scene.map, scene.ego.state, common::Seconds{scene.time},
+    const double v = sti.combined(session, *scene.map, scene.ego.state, common::Seconds{scene.time},
                                   r.ground_truth_forecasts(r.accident_step));
     // At the collision the ego overlaps another footprint: no escape routes.
     EXPECT_DOUBLE_EQ(v, 1.0);

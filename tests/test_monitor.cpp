@@ -50,27 +50,30 @@ TEST(RiskMonitor, ValidatesParameters) {
 }
 
 TEST(RiskMonitor, SafeOnEmptyRoad) {
-  RiskMonitor monitor;
+  const RiskMonitor monitor;
+  RiskSession session;
   auto w = empty_world();
-  const auto a = monitor.update(w);
+  const auto a = monitor.update(session, w);
   EXPECT_DOUBLE_EQ(a.sti_combined, 0.0);
   EXPECT_EQ(a.level, RiskLevel::kSafe);
   EXPECT_FALSE(a.riskiest_actor.has_value());
 }
 
 TEST(RiskMonitor, EscalatesImmediately) {
-  RiskMonitor monitor;
+  const RiskMonitor monitor;
+  RiskSession session;
   auto w = threat_world(6.0);  // imminent: large STI
-  const auto a = monitor.update(w);
+  const auto a = monitor.update(session, w);
   EXPECT_GE(a.level, RiskLevel::kCaution);
-  EXPECT_EQ(monitor.level(), a.level);
+  EXPECT_EQ(session.level(), a.level);
 }
 
 TEST(RiskMonitor, AttributionAppearsOnceElevated) {
-  RiskMonitor monitor;
+  const RiskMonitor monitor;
+  RiskSession session;
   auto w = threat_world(6.0);
-  monitor.update(w);  // first update escalates (and attributes — see below)
-  const auto second = monitor.update(w);
+  monitor.update(session, w);  // first update escalates (and attributes — see below)
+  const auto second = monitor.update(session, w);
   ASSERT_GE(second.level, RiskLevel::kCaution);
   ASSERT_TRUE(second.riskiest_actor.has_value());
   EXPECT_GT(second.riskiest_sti, 0.1);
@@ -81,9 +84,10 @@ TEST(RiskMonitor, EscalationTickCarriesAttribution) {
   // so the very tick that first crossed caution_threshold escalated with
   // riskiest_actor = nullopt and the responsible actor was only named one
   // tick later — exactly when the alarm consumer needs it most.
-  RiskMonitor monitor;
+  const RiskMonitor monitor;
+  RiskSession session;
   auto w = threat_world(6.0);
-  const auto first = monitor.update(w);
+  const auto first = monitor.update(session, w);
   ASSERT_GE(first.level, RiskLevel::kCaution);
   ASSERT_TRUE(first.riskiest_actor.has_value());
   EXPECT_GT(first.riskiest_sti, 0.1);
@@ -105,8 +109,9 @@ TEST(RiskMonitor, AllZeroPerActorYieldsNoRiskiestActor) {
       w.add_actor(std::move(blocker));
     }
   }
-  RiskMonitor monitor;
-  const auto a = monitor.update(w);
+  const RiskMonitor monitor;
+  RiskSession session;
+  const auto a = monitor.update(session, w);
   ASSERT_GE(a.level, RiskLevel::kCaution);
   EXPECT_FALSE(a.riskiest_actor.has_value());
   EXPECT_DOUBLE_EQ(a.riskiest_sti, 0.0);
@@ -129,22 +134,23 @@ TEST(RiskiestActorOf, StrictMaxFirstWinsAndAllZeroIsEmpty) {
 TEST(RiskMonitor, DeescalationNeedsQuietStreak) {
   RiskMonitorParams p;
   p.hysteresis_updates = 3;
-  RiskMonitor monitor(p);
+  const RiskMonitor monitor(p);
+  RiskSession session;
   auto threat = threat_world(6.0);
-  monitor.update(threat);
-  monitor.update(threat);
-  const RiskLevel elevated = monitor.level();
+  monitor.update(session, threat);
+  monitor.update(session, threat);
+  const RiskLevel elevated = session.level();
   ASSERT_GE(elevated, RiskLevel::kCaution);
 
   auto calm = empty_world();
   // Two quiet updates: still holding the elevated level.
-  monitor.update(calm);
-  EXPECT_EQ(monitor.level(), elevated);
-  monitor.update(calm);
-  EXPECT_EQ(monitor.level(), elevated);
+  monitor.update(session, calm);
+  EXPECT_EQ(session.level(), elevated);
+  monitor.update(session, calm);
+  EXPECT_EQ(session.level(), elevated);
   // Third quiet update: drop exactly one level.
-  monitor.update(calm);
-  EXPECT_EQ(static_cast<int>(monitor.level()), static_cast<int>(elevated) - 1);
+  monitor.update(session, calm);
+  EXPECT_EQ(static_cast<int>(session.level()), static_cast<int>(elevated) - 1);
 }
 
 TEST(RiskMonitor, DeescalationStepsOneLevelAtATime) {
@@ -156,30 +162,32 @@ TEST(RiskMonitor, DeescalationStepsOneLevelAtATime) {
   p.caution_threshold = 0.03;
   p.critical_threshold = 0.10;
   p.hysteresis_updates = 2;
-  RiskMonitor monitor(p);
+  const RiskMonitor monitor(p);
+  RiskSession session;
   auto threat = threat_world(6.0);
-  monitor.update(threat);
-  ASSERT_EQ(monitor.level(), RiskLevel::kCritical);
+  monitor.update(session, threat);
+  ASSERT_EQ(session.level(), RiskLevel::kCritical);
 
   auto calm = empty_world();
-  monitor.update(calm);
-  EXPECT_EQ(monitor.level(), RiskLevel::kCritical);  // streak 1 of 2
-  monitor.update(calm);
-  EXPECT_EQ(monitor.level(), RiskLevel::kCaution);  // one level, not two
-  monitor.update(calm);
-  EXPECT_EQ(monitor.level(), RiskLevel::kCaution);  // streak resets per level
-  monitor.update(calm);
-  EXPECT_EQ(monitor.level(), RiskLevel::kSafe);
+  monitor.update(session, calm);
+  EXPECT_EQ(session.level(), RiskLevel::kCritical);  // streak 1 of 2
+  monitor.update(session, calm);
+  EXPECT_EQ(session.level(), RiskLevel::kCaution);  // one level, not two
+  monitor.update(session, calm);
+  EXPECT_EQ(session.level(), RiskLevel::kCaution);  // streak resets per level
+  monitor.update(session, calm);
+  EXPECT_EQ(session.level(), RiskLevel::kSafe);
 }
 
 TEST(RiskMonitor, ResetClearsState) {
-  RiskMonitor monitor;
+  const RiskMonitor monitor;
+  RiskSession session;
   auto threat = threat_world(6.0);
-  monitor.update(threat);
-  ASSERT_GE(monitor.level(), RiskLevel::kCaution);
-  monitor.reset();
-  EXPECT_EQ(monitor.level(), RiskLevel::kSafe);
-  EXPECT_EQ(monitor.updates(), 0);
+  monitor.update(session, threat);
+  ASSERT_GE(session.level(), RiskLevel::kCaution);
+  session.reset();
+  EXPECT_EQ(session.level(), RiskLevel::kSafe);
+  EXPECT_EQ(session.updates(), 0);
 }
 
 TEST(RiskMonitor, LevelNames) {
@@ -189,9 +197,10 @@ TEST(RiskMonitor, LevelNames) {
 }
 
 TEST(RiskMonitor, RequiresEgo) {
-  RiskMonitor monitor;
+  const RiskMonitor monitor;
+  RiskSession session;
   sim::World w(test_map(), 0.1);
-  EXPECT_THROW(monitor.update(w), std::invalid_argument);
+  EXPECT_THROW(monitor.update(session, w), std::invalid_argument);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "dynamics/cvtr.hpp"
 #include "scenario/factory.hpp"
 #include "sim/world.hpp"
+#include "sti_reference.hpp"
 
 namespace iprism {
 namespace {
@@ -51,17 +52,18 @@ TEST(ParallelSti, BitIdenticalToSerialAcrossAllTypologies) {
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
 
     const core::StiCalculator serial;
-    const core::StiResult reference =
-        serial.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
+    core::RiskSession session;
+    const core::StiResult reference = serial.compute(session, world.map(), world.ego().state,
+                                                     common::Seconds{world.time()}, forecasts);
 
     for (int threads : kThreadCounts) {
       core::ReachTubeParams params;
       params.num_threads = threads;
       const core::StiCalculator parallel(params);
-      expect_bit_identical(
-          reference,
-          parallel.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts),
-          threads);
+      expect_bit_identical(reference,
+                           parallel.compute(session, world.map(), world.ego().state,
+                                            common::Seconds{world.time()}, forecasts),
+                           threads);
     }
   }
 }
@@ -74,13 +76,14 @@ TEST(ParallelSti, CombinedOnlyBitIdenticalToSerial) {
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
 
     const core::StiCalculator serial;
-    const double reference =
-        serial.combined(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
+    core::RiskSession session;
+    const double reference = serial.combined(session, world.map(), world.ego().state,
+                                             common::Seconds{world.time()}, forecasts);
     for (int threads : kThreadCounts) {
       core::ReachTubeParams params;
       params.num_threads = threads;
       const core::StiCalculator parallel(params);
-      EXPECT_EQ(reference, parallel.combined(world.map(), world.ego().state,
+      EXPECT_EQ(reference, parallel.combined(session, world.map(), world.ego().state,
                                              common::Seconds{world.time()}, forecasts))
           << "num_threads=" << threads;
     }
@@ -96,12 +99,14 @@ TEST(ParallelSti, RepeatedParallelEvaluationsAreStable) {
   core::ReachTubeParams params;
   params.num_threads = 4;
   const core::StiCalculator sti(params);
-  const core::StiResult first =
-      sti.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
+  core::RiskSession session;
+  const core::StiResult first = sti.compute(session, world.map(), world.ego().state,
+                                            common::Seconds{world.time()}, forecasts);
   for (int run = 0; run < 5; ++run) {
-    expect_bit_identical(
-        first, sti.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts),
-        params.num_threads);
+    expect_bit_identical(first,
+                         sti.compute(session, world.map(), world.ego().state,
+                                     common::Seconds{world.time()}, forecasts),
+                         params.num_threads);
   }
 }
 
@@ -112,14 +117,16 @@ TEST(ParallelSti, MonitorAssessmentsUnchangedByThreads) {
   core::RiskMonitorParams serial_params;
   core::RiskMonitorParams parallel_params;
   parallel_params.tube.num_threads = 4;
-  core::RiskMonitor serial(serial_params);
-  core::RiskMonitor parallel(parallel_params);
+  const core::RiskMonitor serial(serial_params);
+  const core::RiskMonitor parallel(parallel_params);
+  core::RiskSession serial_session;
+  core::RiskSession parallel_session;
 
   sim::World world = typology_world(factory, scenario::Typology::kLeadSlowdown);
   for (int step = 0; step < 30; ++step) {
     world.step(dynamics::Control{0.0, 0.0});
-    const auto a = serial.update(world);
-    const auto b = parallel.update(world);
+    const auto a = serial.update(serial_session, world);
+    const auto b = parallel.update(parallel_session, world);
     EXPECT_EQ(a.sti_combined, b.sti_combined) << "step " << step;
     EXPECT_EQ(a.level, b.level) << "step " << step;
     EXPECT_EQ(a.riskiest_actor, b.riskiest_actor) << "step " << step;
@@ -163,16 +170,22 @@ TEST(TubeCapacityInvariance, TubesBitIdenticalAcrossScratchReserves) {
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
 
     const core::ReachTubeComputer reference_rt;
+    core::RiskSession reference_session;
     const core::ReachTube reference =
-        reference_rt.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
+        reference_rt.compute(reference_session, world.map(), world.ego().state,
+                             common::Seconds{world.time()}, forecasts);
 
     for (std::size_t reserve : kScratchReserves) {
       core::ReachTubeParams params;
       params.scratch_reserve = reserve;
       const core::ReachTubeComputer rt(params);
-      expect_same_tube(
-          reference,
-          rt.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts), reserve);
+      // A fresh session per reserve: a reused one would keep the first
+      // reserve's capacity and hide the knob.
+      core::RiskSession session;
+      expect_same_tube(reference,
+                       rt.compute(session, world.map(), world.ego().state,
+                                  common::Seconds{world.time()}, forecasts),
+                       reserve);
     }
   }
 }
@@ -185,8 +198,10 @@ TEST(TubeCapacityInvariance, StiBitIdenticalAcrossScratchReservesAndThreads) {
   const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
 
   const core::StiCalculator serial;
-  const core::StiResult reference =
-      serial.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
+  core::RiskSession reference_session;
+  const core::StiResult reference = serial.compute(reference_session, world.map(),
+                                                   world.ego().state,
+                                                   common::Seconds{world.time()}, forecasts);
 
   for (std::size_t reserve : kScratchReserves) {
     for (int threads : {0, 2, 4}) {
@@ -195,10 +210,11 @@ TEST(TubeCapacityInvariance, StiBitIdenticalAcrossScratchReservesAndThreads) {
       params.num_threads = threads;
       const core::StiCalculator sti(params);
       SCOPED_TRACE("scratch_reserve=" + std::to_string(reserve));
-      expect_bit_identical(
-          reference,
-          sti.compute(world.map(), world.ego().state, common::Seconds{world.time()}, forecasts),
-          threads);
+      core::RiskSession session;
+      expect_bit_identical(reference,
+                           sti.compute(session, world.map(), world.ego().state,
+                                       common::Seconds{world.time()}, forecasts),
+                           threads);
     }
   }
 }
@@ -208,9 +224,10 @@ TEST(TubeCapacityInvariance, StiBitIdenticalAcrossScratchReservesAndThreads) {
 // The shared-wavefront engine derives every counterfactual tube from one
 // attributed base propagation by memoized replay. Its contract is *exact*
 // identity — contents, cardinalities, SplitMix64 emission order — with the
-// from-scratch compute(..., exclude) it replaces, for every typology, thread
-// count, and scratch reserve. These suites are the executable form of that
-// contract and run in the CI tsan job (the replay fan-out is the new
+// from-scratch compute(..., exclude) of Eq. 4, for every typology, thread
+// count, and scratch reserve. The from-scratch side is the N+2-call
+// reference of tests/sti_reference.hpp. These suites are the executable form
+// of that contract and run in the CI tsan job (the replay fan-out is the
 // concurrent workload).
 
 TEST(CounterfactualDeltaIdentity, TubesBitIdenticalToFromScratchAcrossTypologies) {
@@ -221,21 +238,22 @@ TEST(CounterfactualDeltaIdentity, TubesBitIdenticalToFromScratchAcrossTypologies
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
 
     const core::ReachTubeComputer rt;
+    core::RiskSession session;
     const auto obstacles =
         rt.sample_obstacles(forecasts, common::Seconds{world.time()});
     const core::AttributedTube base =
-        rt.compute_attributed(world.map(), world.ego().state, obstacles);
+        rt.compute_attributed(session, world.map(), world.ego().state, obstacles);
 
     // Attribution only records — the base tube is the plain tube.
-    expect_same_tube(rt.compute(world.map(), world.ego().state, obstacles), base.tube,
-                     0);
+    expect_same_tube(rt.compute(session, world.map(), world.ego().state, obstacles),
+                     base.tube, 0);
 
     // |T^{∅}| by replay vs the from-scratch no-obstacles tube.
     core::CounterfactualStats empty_stats;
     expect_same_tube(
-        rt.compute(world.map(), world.ego().state,
+        rt.compute(session, world.map(), world.ego().state,
                    std::span<const core::ObstacleTimeline>{}),
-        rt.compute_unblocked(world.map(), world.ego().state, obstacles, base,
+        rt.compute_unblocked(session, world.map(), world.ego().state, obstacles, base,
                              &empty_stats),
         0);
 
@@ -244,10 +262,10 @@ TEST(CounterfactualDeltaIdentity, TubesBitIdenticalToFromScratchAcrossTypologies
       SCOPED_TRACE("actor_index=" + std::to_string(i));
       core::CounterfactualStats stats;
       expect_same_tube(
-          rt.compute(world.map(), world.ego().state, obstacles,
+          rt.compute(session, world.map(), world.ego().state, obstacles,
                      common::ActorId{forecasts[i].id}),
-          rt.compute_counterfactual(world.map(), world.ego().state, obstacles, base, i,
-                                    &stats),
+          rt.compute_counterfactual(session, world.map(), world.ego().state, obstacles,
+                                    base, i, &stats),
           0);
       // A free counterfactual must really have skipped re-expansion.
       if (stats.free) EXPECT_EQ(stats.fresh_tests, 0u);
@@ -262,12 +280,7 @@ TEST(CounterfactualDeltaIdentity, StiMatchesScratchEngineAcrossThreadsAndReserve
     const sim::World world = typology_world(factory, typology);
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
 
-    core::ReachTubeParams scratch_params;
-    scratch_params.delta_counterfactuals = false;
-    const core::StiCalculator scratch(scratch_params);
-    const core::StiResult reference = scratch.compute(
-        world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
-    const double reference_combined = scratch.combined(
+    const core::StiResult reference = test::reference_sti(
         world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
 
     for (std::size_t reserve : kScratchReserves) {
@@ -277,12 +290,13 @@ TEST(CounterfactualDeltaIdentity, StiMatchesScratchEngineAcrossThreadsAndReserve
         params.num_threads = threads;
         const core::StiCalculator delta(params);
         SCOPED_TRACE("scratch_reserve=" + std::to_string(reserve));
+        core::RiskSession session;
         expect_bit_identical(reference,
-                             delta.compute(world.map(), world.ego().state,
+                             delta.compute(session, world.map(), world.ego().state,
                                            common::Seconds{world.time()}, forecasts),
                              threads);
-        EXPECT_EQ(reference_combined,
-                  delta.combined(world.map(), world.ego().state,
+        EXPECT_EQ(reference.combined,
+                  delta.combined(session, world.map(), world.ego().state,
                                  common::Seconds{world.time()}, forecasts))
             << "num_threads=" << threads << " scratch_reserve=" << reserve;
       }
@@ -307,43 +321,53 @@ TEST(CounterfactualDeltaIdentity, ActorThatBlocksNothingIsFree) {
   const std::size_t far_index = forecasts.size() - 1;
 
   const core::ReachTubeComputer rt;
+  core::RiskSession session;
   const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{world.time()});
   const core::AttributedTube base =
-      rt.compute_attributed(world.map(), world.ego().state, obstacles);
+      rt.compute_attributed(session, world.map(), world.ego().state, obstacles);
   ASSERT_TRUE(base.attribution.blocks_nothing(far_index));
 
   core::CounterfactualStats stats;
   const core::ReachTube cf = rt.compute_counterfactual(
-      world.map(), world.ego().state, obstacles, base, far_index, &stats);
+      session, world.map(), world.ego().state, obstacles, base, far_index, &stats);
   EXPECT_TRUE(stats.free);
   EXPECT_EQ(stats.fresh_tests, 0u);
   EXPECT_EQ(stats.memo_hits, 0u);
   expect_same_tube(base.tube, cf, 0);
-  expect_same_tube(rt.compute(world.map(), world.ego().state, obstacles,
+  expect_same_tube(rt.compute(session, world.map(), world.ego().state, obstacles,
                               common::ActorId{far_actor.id}),
                    cf, 0);
 }
 
 TEST(CounterfactualDeltaIdentity, MonitorAssessmentsUnchangedByEngine) {
-  // End-to-end invariance: risk levels and riskiest-actor attribution must
-  // not depend on which counterfactual engine the monitor's calculator uses.
+  // End-to-end invariance: the monitor's combined STI and riskiest-actor
+  // attribution must be what the from-scratch reference implies, tick by
+  // tick, whether the tick took combined() or the full per-actor compute.
   const scenario::ScenarioFactory factory;
-  core::RiskMonitorParams delta_params;  // delta_counterfactuals defaults true
-  core::RiskMonitorParams scratch_params;
-  scratch_params.tube.delta_counterfactuals = false;
-  core::RiskMonitor delta(delta_params);
-  core::RiskMonitor scratch(scratch_params);
+  const core::RiskMonitorParams params;
+  const core::RiskMonitor monitor(params);
+  core::RiskSession session;
 
   sim::World world = typology_world(factory, scenario::Typology::kGhostCutIn);
+  bool attributed = false;
   for (int step = 0; step < 30; ++step) {
     world.step(dynamics::Control{0.0, 0.0});
-    const auto a = scratch.update(world);
-    const auto b = delta.update(world);
-    EXPECT_EQ(a.sti_combined, b.sti_combined) << "step " << step;
-    EXPECT_EQ(a.level, b.level) << "step " << step;
-    EXPECT_EQ(a.riskiest_actor, b.riskiest_actor) << "step " << step;
-    EXPECT_EQ(a.riskiest_sti, b.riskiest_sti) << "step " << step;
+    const auto a = monitor.update(session, world);
+    const auto forecasts = core::cvtr_forecasts(world, params.tube.horizon, params.tube.dt);
+    const core::StiResult reference = test::reference_sti(
+        world.map(), world.ego().state, common::Seconds{world.time()}, forecasts, params.tube);
+    EXPECT_EQ(a.sti_combined, reference.combined) << "step " << step;
+    if (a.level >= core::RiskLevel::kCaution) {
+      // Elevated ticks run the per-actor attribution.
+      attributed = true;
+      const auto riskiest = core::riskiest_actor_of(reference);
+      EXPECT_EQ(a.riskiest_actor, riskiest ? std::optional<int>{riskiest->first}
+                                           : std::nullopt)
+          << "step " << step;
+      EXPECT_EQ(a.riskiest_sti, riskiest ? riskiest->second : 0.0) << "step " << step;
+    }
   }
+  EXPECT_TRUE(attributed) << "the scene never elevated; attribution went unchecked";
 }
 
 TEST(ParallelSti, NumThreadsValidation) {

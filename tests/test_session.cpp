@@ -5,11 +5,12 @@
 // executable form of that contract:
 //
 //  * SessionIdentity — a session reused across ticks is bit-identical to a
-//    fresh session per tick and to the legacy session-less API, across every
-//    scenario typology, dedup mode, thread count, and counterfactual engine.
+//    fresh session per tick and to the from-scratch reference
+//    (tests/sti_reference.hpp), across every scenario typology, dedup mode,
+//    and thread count; the cold-session combined() overload matches too.
 //  * SessionMonitor — the monitor's mutable state (level, quiet streak,
-//    update count) lives in the session: external sessions track the legacy
-//    owned-session API exactly, reset() forgets, moves preserve.
+//    update count) lives in the session: sessions sharing one engine never
+//    interfere, reset() forgets, moves preserve.
 //  * SharedPool — M calculators share the one process-wide pool instead of
 //    spawning M pools (the "M pools" fix).
 //  * SessionPool — M sessions drive one const engine concurrently over the
@@ -31,6 +32,7 @@
 #include "roadmap/straight_road.hpp"
 #include "scenario/factory.hpp"
 #include "sim/world.hpp"
+#include "sti_reference.hpp"
 
 namespace iprism {
 namespace {
@@ -60,42 +62,46 @@ void expect_bit_identical(const core::StiResult& a, const core::StiResult& b) {
 // --- SessionIdentity -------------------------------------------------------
 
 TEST(SessionIdentity, ReusedSessionBitIdenticalToFreshAcrossMatrix) {
-  // The full knob matrix: typology x dedup x threads x counterfactual
-  // engine. One session reused for all three ticks of a combo must match a
-  // fresh session per tick AND the legacy session-less API — any divergence
-  // means scratch state leaked into a result.
+  // The full knob matrix: typology x dedup x threads. One session reused
+  // for all three ticks of a combo must match a fresh session per tick — any
+  // divergence means scratch state leaked into a result — and both must
+  // match the from-scratch reference.
   const scenario::ScenarioFactory factory;
   for (scenario::Typology typology : scenario::kAllTypologies) {
     SCOPED_TRACE(std::string(scenario::typology_name(typology)));
     for (bool dedup : {true, false}) {
+      core::ReachTubeParams reference_params;
+      reference_params.dedup = dedup;
+      sim::World world = typology_world(factory, typology);
+      std::vector<core::StiResult> reference;
+      for (int tick = 0; tick < 3; ++tick) {
+        const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
+        reference.push_back(test::reference_sti(world.map(), world.ego().state,
+                                                common::Seconds{world.time()}, forecasts,
+                                                reference_params));
+        world.step(dynamics::Control{0.0, 0.0});
+      }
       for (int threads : {0, 2, 4}) {
-        for (bool delta : {true, false}) {
-          SCOPED_TRACE("dedup=" + std::to_string(dedup) +
-                       " threads=" + std::to_string(threads) +
-                       " delta=" + std::to_string(delta));
-          core::ReachTubeParams params;
-          params.dedup = dedup;
-          params.num_threads = threads;
-          params.delta_counterfactuals = delta;
-          const core::StiCalculator sti(params);
+        SCOPED_TRACE("dedup=" + std::to_string(dedup) +
+                     " threads=" + std::to_string(threads));
+        core::ReachTubeParams params = reference_params;
+        params.num_threads = threads;
+        const core::StiCalculator sti(params);
 
-          sim::World world = typology_world(factory, typology);
-          core::RiskSession reused;
-          for (int tick = 0; tick < 3; ++tick) {
-            SCOPED_TRACE("tick=" + std::to_string(tick));
-            const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
-            const core::StiResult warm =
-                sti.compute(reused, world.map(), world.ego().state,
-                            common::Seconds{world.time()}, forecasts);
-            core::RiskSession fresh;
-            expect_bit_identical(warm,
-                                 sti.compute(fresh, world.map(), world.ego().state,
-                                             common::Seconds{world.time()}, forecasts));
-            expect_bit_identical(warm,
-                                 sti.compute(world.map(), world.ego().state,
-                                             common::Seconds{world.time()}, forecasts));
-            world.step(dynamics::Control{0.0, 0.0});
-          }
+        world = typology_world(factory, typology);
+        core::RiskSession reused;
+        for (int tick = 0; tick < 3; ++tick) {
+          SCOPED_TRACE("tick=" + std::to_string(tick));
+          const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
+          const core::StiResult warm =
+              sti.compute(reused, world.map(), world.ego().state,
+                          common::Seconds{world.time()}, forecasts);
+          core::RiskSession fresh;
+          expect_bit_identical(warm,
+                               sti.compute(fresh, world.map(), world.ego().state,
+                                           common::Seconds{world.time()}, forecasts));
+          expect_bit_identical(warm, reference[static_cast<std::size_t>(tick)]);
+          world.step(dynamics::Control{0.0, 0.0});
         }
       }
     }
@@ -103,7 +109,8 @@ TEST(SessionIdentity, ReusedSessionBitIdenticalToFreshAcrossMatrix) {
 }
 
 TEST(SessionIdentity, CombinedMatchesAcrossSessionReuse) {
-  // Same contract for the two-tube combined() fast path.
+  // Same contract for the two-tube combined() fast path, against the
+  // cold-session overload (a transient session per call).
   const scenario::ScenarioFactory factory;
   sim::World world = typology_world(factory, scenario::Typology::kGhostCutIn);
   core::ReachTubeParams params;
@@ -155,35 +162,40 @@ sim::World empty_world() {
   return w;
 }
 
-TEST(SessionMonitor, ExternalSessionMatchesLegacyOwnedSession) {
-  // One const engine, one external session vs the legacy mutable API: the
-  // full level trajectory — escalation, hysteresis hold, de-escalation —
-  // must evolve identically because ALL of it lives in the session.
-  const core::RiskMonitor engine;     // const-callable with external sessions
-  core::RiskMonitor legacy;           // legacy: owns its session
-  core::RiskSession session;
+TEST(SessionMonitor, SessionsSharingOneEngineEvolveIndependently) {
+  // The full level trajectory — escalation, hysteresis hold, de-escalation —
+  // lives in the session. A second session replaying the first one's inputs,
+  // while the first keeps taking ticks in between, must reproduce the
+  // recorded trajectory exactly: state kept in the engine would leak.
+  const core::RiskMonitor engine;
+  core::RiskSession lead;
+  core::RiskSession lag;
 
   auto threat = threat_world(6.0);
   auto quiet = empty_world();
+  std::vector<core::RiskMonitor::Assessment> trajectory;
   for (int step = 0; step < 8; ++step) {
-    const auto a = engine.update(session, threat);
-    const auto b = legacy.update(threat);
-    EXPECT_EQ(a.sti_combined, b.sti_combined) << "threat step " << step;
-    EXPECT_EQ(a.level, b.level) << "threat step " << step;
-    EXPECT_EQ(a.riskiest_actor, b.riskiest_actor) << "threat step " << step;
-    EXPECT_EQ(session.level(), legacy.level()) << "threat step " << step;
+    trajectory.push_back(engine.update(lead, threat));
   }
-  EXPECT_GE(session.level(), core::RiskLevel::kCaution);
+  EXPECT_GE(lead.level(), core::RiskLevel::kCaution);
   for (int step = 0; step < 30; ++step) {
-    const auto a = engine.update(session, quiet);
-    const auto b = legacy.update(quiet);
-    EXPECT_EQ(a.level, b.level) << "quiet step " << step;
-    EXPECT_EQ(session.level(), legacy.level()) << "quiet step " << step;
+    trajectory.push_back(engine.update(lead, quiet));
   }
-  // The quiet streak must have de-escalated both in lockstep all the way.
-  EXPECT_EQ(session.level(), core::RiskLevel::kSafe);
-  EXPECT_EQ(session.updates(), legacy.updates());
-  EXPECT_EQ(session.updates(), 8 + 30);
+  // The quiet streak must have de-escalated all the way.
+  EXPECT_EQ(lead.level(), core::RiskLevel::kSafe);
+  EXPECT_EQ(lead.updates(), 8 + 30);
+
+  for (std::size_t step = 0; step < trajectory.size(); ++step) {
+    // Interleave a tick on the other session before every tick of `lag`.
+    engine.update(lead, step < 8 ? threat : quiet);
+    const auto a = engine.update(lag, step < 8 ? threat : quiet);
+    const auto& b = trajectory[step];
+    EXPECT_EQ(a.sti_combined, b.sti_combined) << "step " << step;
+    EXPECT_EQ(a.level, b.level) << "step " << step;
+    EXPECT_EQ(a.riskiest_actor, b.riskiest_actor) << "step " << step;
+  }
+  EXPECT_EQ(lag.level(), core::RiskLevel::kSafe);
+  EXPECT_EQ(lag.updates(), 8 + 30);
 }
 
 TEST(SessionMonitor, ResetForgetsLevelStreakAndCount) {
@@ -208,16 +220,6 @@ TEST(SessionMonitor, ResetForgetsLevelStreakAndCount) {
     EXPECT_EQ(a.level, b.level) << "step " << step;
   }
   EXPECT_EQ(session.updates(), fresh.updates());
-}
-
-TEST(SessionMonitor, LegacyResetDelegatesToOwnedSession) {
-  core::RiskMonitor monitor;
-  auto threat = threat_world(6.0);
-  monitor.update(threat);
-  ASSERT_GE(monitor.level(), core::RiskLevel::kCaution);
-  monitor.reset();
-  EXPECT_EQ(monitor.level(), core::RiskLevel::kSafe);
-  EXPECT_EQ(monitor.updates(), 0);
 }
 
 TEST(SessionMonitor, MovePreservesSessionState) {

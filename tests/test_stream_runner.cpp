@@ -12,6 +12,7 @@
 #include <string>
 
 #include "agents/lbc.hpp"
+#include "common/telemetry.hpp"
 #include "roadmap/straight_road.hpp"
 
 namespace iprism {
@@ -106,6 +107,31 @@ TEST(StreamRunner, OutcomesAreIndexOwnedAndLabeled) {
     EXPECT_EQ(outcomes[i].monitor_updates, outcomes[i].steps);
     EXPECT_GT(outcomes[i].max_sti, 0.0);  // the wall is a real threat
   }
+}
+
+TEST(StreamRunner, RegistersNoPerStreamMetrics) {
+  // Metric cardinality must not grow with the stream count: the runner
+  // registers no per-stream names, and the fixed monitor.update timer
+  // records every stream's updates.
+  auto options = short_options();
+  options.label_prefix = "cardinality";
+  const eval::StreamRunner runner(options);
+  const auto outcomes = runner.run(3, stream_world);
+  const auto& registry = common::telemetry::MetricsRegistry::instance();
+  EXPECT_EQ(registry.find_counter("cardinality.0.updates"), nullptr);
+  long updates = 0;
+  for (const auto& outcome : outcomes) {
+    EXPECT_EQ(registry.find_counter(outcome.label + ".updates"), nullptr);
+    EXPECT_EQ(registry.find_histogram(outcome.label + ".update_ns"), nullptr);
+    updates += outcome.monitor_updates;
+  }
+#if IPRISM_TELEMETRY_ENABLED
+  const common::telemetry::Histogram* update_timer = registry.find_histogram("monitor.update");
+  ASSERT_NE(update_timer, nullptr);
+  EXPECT_GE(update_timer->count(), static_cast<std::uint64_t>(updates));
+#else
+  EXPECT_GT(updates, 0);
+#endif
 }
 
 TEST(StreamRunner, StopsOnEgoCollisionWhenAsked) {

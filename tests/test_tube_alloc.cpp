@@ -69,8 +69,9 @@ class TubeAllocTest : public ::testing::TestWithParam<bool> {
 
 TEST_P(TubeAllocTest, EverySliceStoresExactCapacity) {
   const core::ReachTubeComputer rt(capped_params(GetParam(), 3.0));
+  core::RiskSession session;
   const core::ReachTube tube =
-      rt.compute(map_, ego_, std::span<const core::ObstacleTimeline>{});
+      rt.compute(session, map_, ego_, std::span<const core::ObstacleTimeline>{});
   ASSERT_GT(produced_slices(tube), 1u);
   for (std::size_t j = 0; j < tube.slices.size(); ++j) {
     // The slice owns a right-sized block, not a surrendered scratch buffer:
@@ -84,12 +85,13 @@ TEST_P(TubeAllocTest, SteadyStateAllocationsAreOneExactBlockPerSlice) {
   const core::ReachTubeComputer short_rt(capped_params(GetParam(), 2.0));
   const core::ReachTubeComputer long_rt(capped_params(GetParam(), 3.0));
   const std::span<const core::ObstacleTimeline> none;
+  core::RiskSession session;
 
   // Warm-up: libc/gtest one-time allocations, plus proof both runs saturate
   // the cap (so the longer horizon's extra slices are copies of the same
   // steady state and every scratch container is inside its warmed capacity).
-  const core::ReachTube warm_short = short_rt.compute(map_, ego_, none);
-  const core::ReachTube warm_long = long_rt.compute(map_, ego_, none);
+  const core::ReachTube warm_short = short_rt.compute(session, map_, ego_, none);
+  const core::ReachTube warm_long = long_rt.compute(session, map_, ego_, none);
   const std::size_t short_slices = produced_slices(warm_short);
   const std::size_t long_slices = produced_slices(warm_long);
   ASSERT_GT(long_slices, short_slices);
@@ -102,7 +104,8 @@ TEST_P(TubeAllocTest, SteadyStateAllocationsAreOneExactBlockPerSlice) {
 
   const auto count = [&](const core::ReachTubeComputer& rt) {
     const std::size_t before = g_allocations.load();
-    const core::ReachTube tube = rt.compute(map_, ego_, none);
+    core::RiskSession cold;  // both runs pay the same session + scratch build
+    const core::ReachTube tube = rt.compute(cold, map_, ego_, none);
     const std::size_t after = g_allocations.load();
     EXPECT_GT(tube.volume, 0.0);
     return after - before;
