@@ -42,8 +42,8 @@ const char* nonrelease_build_reason() {
   return "hot-path debug checks enabled (IPRISM_ENABLE_DCHECKS)";
 #else
   // The benchmark harness itself must be a release build too: a debug
-  // harness library is exactly how the original BENCH_tube_hotpath.json
-  // baseline got its "library_build_type": "debug" taint. ubench compiles
+  // harness library is exactly how an early committed baseline got its
+  // "library_build_type": "debug" taint. ubench compiles
   // under the same preset as this TU, so this only fires if the build system
   // regresses — but the guard is the contract, not the build setup.
   if (std::string_view(ubench::library_build_type()) != "release") {

@@ -2,41 +2,28 @@
 // the paper itself anticipates: "use of a high-performance programming
 // language (e.g., C++)" — so these are the C++ numbers for the same
 // operations the paper timed in Python (STI evaluation 0.61 s; SMC
-// inference 0.012 s there).
+// inference 0.012 s there). End-to-end tick, throughput and per-layer
+// numbers come from e2e_bench/; these are the per-operation microbenchmarks.
 //
 //   ./overheads [ubench flags] [--require-release]
-//
-// The BM_TubeHotpath family measures the reach-tube hot-loop rewrite
-// (common::FlatHashGrid scratch, per-slice obstacle active-set) against a
-// bench-local replica of the pre-rewrite std::unordered_map loop, and the
-// flat loop with pre-reservation off vs on. Recorded as
-// BENCH_tube_hotpath.json from the release preset:
-//   ./overheads --require-release \
-//     '--benchmark_filter=BM_TubeHotpath|BM_StiFullPerActor$' \
-//     --benchmark_out=BENCH_tube_hotpath.json --benchmark_out_format=json
 //
 // The BM_CounterfactualFanout family sweeps actor count N for the full STI
 // evaluation on the shared-wavefront counterfactual engine (DESIGN.md §12).
 // Recorded as BENCH_counterfactual_delta.json:
-//   ./overheads --require-release \
-//     --benchmark_filter=BM_CounterfactualFanout \
+//   ./overheads --require-release --benchmark_filter=BM_CounterfactualFanout
 //     --benchmark_out=BENCH_counterfactual_delta.json --benchmark_out_format=json
 //
 // The BM_GeomKernel family measures the staged batch kernels behind the
 // propagation rewrite (DESIGN.md §13) against their scalar per-lane
 // counterparts. Recorded as BENCH_geom_kernel.json:
-//   ./overheads --require-release \
-//     --benchmark_filter=BM_GeomKernel \
+//   ./overheads --require-release --benchmark_filter=BM_GeomKernel
 //     --benchmark_out=BENCH_geom_kernel.json --benchmark_out_format=json
 //
 // The tube and STI benchmarks build a fresh core::RiskSession inside the
 // timed loop: they time the cold call (scratch allocated and reserved per
-// iteration, as `scratch_reserve` intends), which is what the recorded
-// baselines hold.
+// iteration), which is what the recorded baselines hold.
 #include <cmath>
 #include <cstddef>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -96,187 +83,6 @@ void BM_SimStep(ubench::State& state) {
 }
 UBENCH(BM_SimStep);
 
-// ---------------------------------------------------------------------------
-// BM_TubeHotpath: before/after baseline for the flat-hash hot-loop rewrite.
-//
-// `baseline_tube` replicates the pre-rewrite ReachTubeComputer::compute hot
-// loop: std::unordered_map/unordered_set scratch that cannot be pre-reserved
-// (bucket order fed the surviving-representative selection), two divides per
-// propagated state in the cell key, a per-slice `kept` unordered_set, a full
-// per-slice candidate copy, and every obstacle broad-phase-tested per state.
-// It lives here, not in src/core: the container-discipline lint bans the
-// unordered containers there precisely because of what this baseline shows.
-
-std::uint64_t baseline_xy_key(double x, double y, double cell) {
-  const auto ix = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(std::floor(x / cell)) + (1LL << 30));
-  const auto iy = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(std::floor(y / cell)) + (1LL << 30));
-  return (ix << 32) | (iy & 0xFFFFFFFFULL);
-}
-
-struct BaselineCellReps {
-  int min_v = -1, max_v = -1, min_h = -1, max_h = -1;
-  double v_lo = 0.0, v_hi = 0.0, h_lo = 0.0, h_hi = 0.0;
-};
-
-bool baseline_state_ok(const roadmap::DrivableMap& map, const dynamics::VehicleState& s,
-                       std::span<const core::ObstacleTimeline> obstacles,
-                       std::size_t slice, common::ActorId exclude,
-                       const core::ReachTubeParams& p) {
-  const geom::OrientedBox ego_box = dynamics::footprint(s, p.ego_dims);
-  if (!map.contains_box(ego_box, p.map_margin)) return false;
-  const double ego_r = ego_box.circumradius();
-  for (const core::ObstacleTimeline& obs : obstacles) {
-    if (exclude.valid() && obs.actor_id == exclude) continue;
-    const geom::OrientedBox& box = obs.by_slice[slice];
-    const double r = ego_r + obs.circumradius_by_slice[slice];
-    if ((box.center() - ego_box.center()).norm_sq() > r * r) continue;
-    if (ego_box.intersects(box)) return false;
-  }
-  return true;
-}
-
-core::ReachTube baseline_tube(const roadmap::DrivableMap& map,
-                              const dynamics::VehicleState& ego,
-                              std::span<const core::ObstacleTimeline> obstacles,
-                              common::ActorId exclude, const core::ReachTubeParams& p) {
-  const dynamics::BicycleModel model(common::Meters{p.wheelbase});
-  const int slices = static_cast<int>(std::lround(p.horizon / p.dt));
-  std::vector<dynamics::Control> boundary_set;
-  for (double a : {0.0, p.limits.accel_max}) {
-    for (double phi : {p.limits.steer_min, 0.0, p.limits.steer_max}) {
-      boundary_set.push_back({a, phi});
-    }
-  }
-
-  core::ReachTube tube;
-  tube.slices.assign(static_cast<std::size_t>(slices) + 1, {});
-  if (!baseline_state_ok(map, ego, obstacles, 0, exclude, p)) return tube;
-  tube.slices[0].push_back(ego);
-
-  std::size_t volume_cells = 1;
-  std::unordered_map<std::uint64_t, BaselineCellReps> cells;
-  std::unordered_set<std::uint64_t> dead;
-  std::vector<dynamics::VehicleState> candidates;
-  candidates.reserve(std::min<std::size_t>(p.max_states_per_slice, 4096));
-
-  for (int j = 0; j < slices; ++j) {
-    const auto& current = tube.slices[static_cast<std::size_t>(j)];
-    auto& next = tube.slices[static_cast<std::size_t>(j) + 1];
-    cells.clear();
-    dead.clear();
-    candidates.clear();
-
-    const std::size_t slice_idx = static_cast<std::size_t>(j) + 1;
-    auto try_control = [&](const dynamics::VehicleState& s, const dynamics::Control& u) {
-      if (candidates.size() >= p.max_states_per_slice) return;
-      const dynamics::VehicleState ns = model.step(s, u, common::Seconds{p.dt});
-      const std::uint64_t key = baseline_xy_key(ns.x, ns.y, p.cell_size);
-      if (dead.contains(key)) return;
-      auto it = cells.find(key);
-      if (it == cells.end()) {
-        if (!baseline_state_ok(map, ns, obstacles, slice_idx, exclude, p)) {
-          dead.insert(key);
-          return;
-        }
-        const int idx = static_cast<int>(candidates.size());
-        candidates.push_back(ns);
-        BaselineCellReps reps;
-        reps.min_v = reps.max_v = reps.min_h = reps.max_h = idx;
-        reps.v_lo = reps.v_hi = ns.speed;
-        reps.h_lo = reps.h_hi = ns.heading;
-        cells.emplace(key, reps);
-        return;
-      }
-      BaselineCellReps& reps = it->second;
-      const bool improves = ns.speed < reps.v_lo || ns.speed > reps.v_hi ||
-                            ns.heading < reps.h_lo || ns.heading > reps.h_hi;
-      if (!improves) return;
-      if (!baseline_state_ok(map, ns, obstacles, slice_idx, exclude, p)) return;
-      const int idx = static_cast<int>(candidates.size());
-      candidates.push_back(ns);
-      if (ns.speed < reps.v_lo) { reps.v_lo = ns.speed; reps.min_v = idx; }
-      if (ns.speed > reps.v_hi) { reps.v_hi = ns.speed; reps.max_v = idx; }
-      if (ns.heading < reps.h_lo) { reps.h_lo = ns.heading; reps.min_h = idx; }
-      if (ns.heading > reps.h_hi) { reps.h_hi = ns.heading; reps.max_h = idx; }
-    };
-
-    for (const dynamics::VehicleState& s : current) {
-      for (const dynamics::Control& u : boundary_set) try_control(s, u);
-    }
-
-    volume_cells += cells.size();
-    std::unordered_set<int> kept;
-    for (const auto& [key, reps] : cells) {
-      for (int idx : {reps.min_v, reps.max_v, reps.min_h, reps.max_h}) kept.insert(idx);
-    }
-    next.reserve(kept.size());
-    for (int idx : kept) next.push_back(candidates[static_cast<std::size_t>(idx)]);
-    if (next.empty()) break;
-  }
-  tube.volume = static_cast<double>(volume_cells);
-  return tube;
-}
-
-void BM_TubeHotpathBaseline(ubench::State& state) {
-  // One tube through the pre-rewrite unordered_map hot loop.
-  auto& f = fixture();
-  const core::ReachTubeParams params;
-  const core::ReachTubeComputer rt(params);
-  const auto forecasts = core::cvtr_forecasts(f.world, 3.0, 0.25);
-  const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{f.world.time()});
-  for (auto _ : state) {
-    const auto tube = baseline_tube(f.world.map(), f.world.ego().state, obstacles,
-                                    common::ActorId::none(), params);
-    ubench::DoNotOptimize(tube.volume);
-  }
-}
-UBENCH(BM_TubeHotpathBaseline);
-
-void BM_TubeHotpathFlat(ubench::State& state) {
-  // One tube through the FlatHashGrid hot loop; arg = scratch_reserve
-  // (0 = auto-reserve — the default; the old loop could not reserve at all).
-  auto& f = fixture();
-  core::ReachTubeParams params;
-  params.scratch_reserve = static_cast<std::size_t>(state.range(0));
-  const core::ReachTubeComputer rt(params);
-  const auto forecasts = core::cvtr_forecasts(f.world, 3.0, 0.25);
-  const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{f.world.time()});
-  for (auto _ : state) {
-    core::RiskSession session;
-    const auto tube = rt.compute(session, f.world.map(), f.world.ego().state, obstacles,
-                                 common::ActorId::none());
-    ubench::DoNotOptimize(tube.volume);
-  }
-}
-UBENCH(BM_TubeHotpathFlat)->Arg(0)->Arg(4096);
-
-void BM_TubeHotpathStiBaseline(ubench::State& state) {
-  // The full-STI workload (N+2 tubes: |T|, |T^null|, per-actor
-  // counterfactuals) through the baseline loop — the apples-to-apples
-  // counterpart of BM_StiFullPerActor on the new hot loop.
-  auto& f = fixture();
-  const core::ReachTubeParams params;
-  const core::ReachTubeComputer rt(params);
-  const auto forecasts = core::cvtr_forecasts(f.world, 3.0, 0.25);
-  const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{f.world.time()});
-  for (auto _ : state) {
-    double acc = 0.0;
-    acc += baseline_tube(f.world.map(), f.world.ego().state, obstacles,
-                         common::ActorId::none(), params).volume;
-    acc += baseline_tube(f.world.map(), f.world.ego().state, {},
-                         common::ActorId::none(), params).volume;
-    for (const auto& obs : obstacles) {
-      acc += baseline_tube(f.world.map(), f.world.ego().state, obstacles, obs.actor_id,
-                           params)
-                 .volume;
-    }
-    ubench::DoNotOptimize(acc);
-  }
-}
-UBENCH(BM_TubeHotpathStiBaseline);
-
 void BM_ReachTube(ubench::State& state) {
   auto& f = fixture();
   const core::ReachTubeComputer rt;
@@ -316,28 +122,6 @@ void BM_StiFullPerActor(ubench::State& state) {
   }
 }
 UBENCH(BM_StiFullPerActor);
-
-void BM_StiFullPerActorThreads(ubench::State& state) {
-  // The parallel STI engine: same full evaluation as BM_StiFullPerActor,
-  // fanned over a common::ThreadPool with `num_threads` workers (arg 0 = the
-  // serial fallback path through the same code). The JSON emitted by
-  //   ./overheads --benchmark_filter=StiFullPerActor
-  //     --benchmark_out=BENCH_parallel_sti.json --benchmark_out_format=json
-  // seeds the repo's perf trajectory; CI uploads it as an artifact. Results
-  // are bit-identical across thread counts (tests/test_parallel_sti.cpp).
-  auto& f = fixture();
-  core::ReachTubeParams params;
-  params.num_threads = static_cast<int>(state.range(0));
-  const core::StiCalculator sti(params);
-  const auto forecasts = core::cvtr_forecasts(f.world, 3.0, 0.25);
-  for (auto _ : state) {
-    core::RiskSession session;
-    const auto r = sti.compute(session, f.world.map(), f.world.ego().state,
-                               common::Seconds{f.world.time()}, forecasts);
-    ubench::DoNotOptimize(r.combined);
-  }
-}
-UBENCH(BM_StiFullPerActorThreads)->Arg(0)->Arg(2)->Arg(4)->Arg(8);
 
 // ---------------------------------------------------------------------------
 // BM_CounterfactualFanout: actor-count sweep for the shared-wavefront
@@ -393,9 +177,7 @@ UBENCH(BM_CounterfactualFanoutDelta)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
 // (DESIGN.md §13) against their scalar per-lane counterparts, at block sizes
 // spanning one parent's controls (16), a typical partial flush (256), and a
 // multiple of the kLaneBlock flush threshold (4096). Recorded as
-// BENCH_geom_kernel.json from the release preset:
-//   ./overheads --require-release --benchmark_filter=BM_GeomKernel \
-//     --benchmark_out=BENCH_geom_kernel.json --benchmark_out_format=json
+// BENCH_geom_kernel.json (command in the file header).
 
 /// SoA lane material shared by the kernel benchmarks (worst case: every lane
 /// a distinct state/control drawn across the tube's operating envelope).

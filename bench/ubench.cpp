@@ -262,6 +262,12 @@ int run_main(int argc, char** argv) {
     std::cerr << "ubench: bad --benchmark_filter regex: " << options.filter << "\n";
     return 1;
   }
+  if (results.empty()) {
+    // A stale filter (a renamed or deleted benchmark) must fail loudly, not
+    // pass having measured nothing.
+    std::cerr << "ubench: no benchmark matches --benchmark_filter=" << options.filter << "\n";
+    return 1;
+  }
   if (!out_path.empty()) {
     std::ofstream out(out_path);
     if (!out) {

@@ -45,7 +45,9 @@ class State {
  public:
   class iterator {
    public:
-    struct Unit {};
+    // [[maybe_unused]]: `for (auto _ : state)` never reads `_`, and GCC
+    // would otherwise warn (-Wunused-but-set-variable) at every benchmark.
+    struct [[maybe_unused]] Unit {};
     explicit iterator(std::int64_t remaining) : remaining_(remaining) {}
     bool operator!=(const iterator& other) const {
       return remaining_ != other.remaining_;
@@ -137,7 +139,8 @@ std::string json_report(std::span<const RunResult> results);
 
 /// CLI driver: parses the --benchmark_* flags above, runs, writes the JSON
 /// file when --benchmark_out is given. Returns a process exit code (non-zero
-/// on unrecognized arguments, bad regex, or unwritable output path).
+/// on unrecognized arguments, bad regex, a filter that selects no benchmark,
+/// or unwritable output path).
 int run_main(int argc, char** argv);
 
 }  // namespace iprism::ubench

@@ -8,7 +8,7 @@
 //      macros below; without IPRISM_ENABLE_TELEMETRY every macro expands to
 //      nothing (arguments unevaluated), so the instrumented hot paths are
 //      bit-for-bit the uninstrumented code. The bench criterion is ≤1%
-//      on BM_TubeHotpath*/BM_TubeHotpathStiBaseline with telemetry off.
+//      on BM_ReachTube / BM_StiFullPerActor with telemetry off.
 //   2. Allocation-free on the hot path. Registration (the first time a
 //      macro's enclosing scope runs) takes the registry mutex and may
 //      allocate; every subsequent hit is a relaxed atomic add (counters,

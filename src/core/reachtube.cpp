@@ -82,9 +82,16 @@ void ObstacleTimeline::finalize() {
 }
 
 void ReachTubeComputer::validate(const ReachTubeParams& params) {
-  IPRISM_CHECK(params.dt > 0.0 && params.horizon > 0.0,
-               "ReachTubeParams: dt and horizon must be positive");
-  IPRISM_CHECK(params.cell_size > 0.0, "ReachTubeParams: cell_size must be positive");
+  IPRISM_CHECK(std::isfinite(params.dt) && std::isfinite(params.horizon) && params.dt > 0.0 &&
+                   params.horizon > 0.0,
+               "ReachTubeParams: dt and horizon must be finite and positive");
+  IPRISM_CHECK(std::isfinite(params.cell_size) && params.cell_size > 0.0,
+               "ReachTubeParams: cell_size must be finite and positive");
+  IPRISM_CHECK(std::isfinite(params.map_margin) && params.map_margin >= 0.0,
+               "ReachTubeParams: map_margin must be finite and non-negative");
+  IPRISM_CHECK(std::isfinite(params.ego_dims.length) && std::isfinite(params.ego_dims.width) &&
+                   params.ego_dims.length > 0.0 && params.ego_dims.width > 0.0,
+               "ReachTubeParams: ego_dims length and width must be finite and positive");
   IPRISM_CHECK(params.uniform_samples > 0,
                "ReachTubeParams: uniform_samples must be positive");
   IPRISM_CHECK(params.max_states_per_slice > 0,
@@ -165,40 +172,6 @@ bool ReachTubeComputer::state_ok(const roadmap::DrivableMap& map,
     if (ego_box.intersects(box)) return false;
   }
   return true;
-}
-
-BlockRecord ReachTubeComputer::classify_state(const roadmap::DrivableMap& map,
-                                              const dynamics::VehicleState& s,
-                                              std::span<const ObstacleTimeline> obstacles,
-                                              std::span<const std::uint32_t> active,
-                                              common::SliceIdx slice_idx) const {
-  const std::size_t slice = slice_idx.value();
-  BlockRecord rec;
-  rec.state = s;
-  const geom::OrientedBox ego_box = dynamics::footprint(s, params_.ego_dims);
-  if (!map.contains_box(ego_box, params_.map_margin)) {
-    rec.cls = BlockerClass::kOffMap;
-    return rec;
-  }
-  const double ego_r = ego_circumradius_;
-  for (const std::uint32_t oi : active) {
-    const ObstacleTimeline& obs = obstacles[oi];
-    IPRISM_DCHECK(slice < obs.by_slice.size(),
-                  "ReachTube: slice index out of obstacle timeline bounds");
-    const geom::OrientedBox& box = obs.by_slice[slice];
-    const double r = ego_r + obs.circumradius_by_slice[slice];
-    if ((box.center() - ego_box.center()).norm_sq() > r * r) continue;
-    if (!ego_box.intersects(box)) continue;
-    if (rec.cls == BlockerClass::kSole) {
-      // Second blocker found: no single-actor removal rescues this state,
-      // and the exact blocker set beyond that is irrelevant — stop scanning.
-      rec.cls = BlockerClass::kMulti;
-      return rec;
-    }
-    rec.cls = BlockerClass::kSole;
-    rec.sole_blocker = oi;
-  }
-  return rec;  // kPassed, or kSole with the one blocker recorded
 }
 
 template <class Activate, class Analyze, class Consult, class OnLoopBegin,
@@ -495,10 +468,7 @@ void ReachTubeComputer::load_active_set(const TubeAttribution& attr, TubeScratch
 
 ReachTubeComputer::ScratchShape ReachTubeComputer::scratch_shape(
     std::size_t obstacle_count) const {
-  const std::size_t expected =
-      params_.scratch_reserve > 0
-          ? params_.scratch_reserve
-          : std::min<std::size_t>(params_.max_states_per_slice, 4096);
+  const std::size_t expected = std::min<std::size_t>(params_.max_states_per_slice, 4096);
   // Worst-case lanes one parent can queue past the kLaneBlock flush
   // threshold: with boundary controls only, the boundary set; with uniform
   // sampling, whichever of the two control counts is larger.
@@ -642,11 +612,48 @@ AttributedTube ReachTubeComputer::compute_attributed(
     }
   };
 
+  // One classification rule for the seed and every propagated candidate:
+  // off-map wins outright (no actor removal rescues it); otherwise the
+  // analyzed block's saturating hit count separates kPassed / kSole / kMulti,
+  // with first_hit as the sole blocker. Records the outcome and answers
+  // "does this candidate survive".
+  const double half_len = params_.ego_dims.length / 2.0;
+  const double half_wid = params_.ego_dims.width / 2.0;
+  auto& lanes = scratch.lanes;
+  auto classify = [&](std::size_t lane, const dynamics::VehicleState& ns,
+                      common::SliceIdx si) {
+    BlockRecord rec;
+    rec.state = ns;
+    if (!map.contains_box_geom(
+            {lanes.nx[lane], lanes.ny[lane]}, half_len, half_wid,
+            {lanes.ax[lane], lanes.ay[lane]},
+            geom::Aabb{{lanes.lo_x[lane], lanes.lo_y[lane]},
+                       {lanes.hi_x[lane], lanes.hi_y[lane]}},
+            params_.map_margin)) {
+      rec.cls = BlockerClass::kOffMap;
+    } else if (lanes.hits[lane] == 1) {
+      rec.cls = BlockerClass::kSole;
+      rec.sole_blocker = lanes.first_hit[lane];
+    } else if (lanes.hits[lane] >= 2) {
+      rec.cls = BlockerClass::kMulti;
+    }
+    record(rec, si.value());
+    return rec.cls == BlockerClass::kPassed;
+  };
+
+  // Slice 0: the ego enters as lane 0 of a one-lane block that is already
+  // "stepped" (its successor fields hold the seed), so the seed takes the
+  // same batched analysis and classification as every later candidate.
   load_active_set(attr, scratch, 0);
-  const BlockRecord seed_rec =
-      classify_state(map, ego, obstacles, scratch.active, common::SliceIdx{0});
-  record(seed_rec, 0);
-  if (seed_rec.cls != BlockerClass::kPassed) {
+  lanes.nx[0] = ego.x;
+  lanes.ny[0] = ego.y;
+  lanes.nh[0] = ego.heading;
+  lanes.nv[0] = ego.speed;
+  lanes.count = 1;
+  analyze_lanes(obstacles, scratch, common::SliceIdx{0}, /*max_hits=*/2);
+  const bool seed_ok = classify(0, ego, common::SliceIdx{0});
+  lanes.count = 0;
+  if (!seed_ok) {
     IPRISM_COUNT_ADD("reachtube.blocked_frontier_size", attr.blocked_frontier);
     return out;  // empty tube; replays may still rescue the seed
   }
@@ -655,37 +662,12 @@ AttributedTube ReachTubeComputer::compute_attributed(
   std::size_t volume_cells = 1;  // the seed's own cell
   attr.volume_prefix[0] = 1;
   common::Rng rng(params_.sample_seed);
-  const double half_len = params_.ego_dims.length / 2.0;
-  const double half_wid = params_.ego_dims.width / 2.0;
   int last_done = 0;
   propagate(
       scratch, tube, volume_cells, rng, 0,
       [&](common::SliceIdx si) { load_active_set(attr, scratch, si.value()); },
       [&](common::SliceIdx si) { analyze_lanes(obstacles, scratch, si, /*max_hits=*/2); },
-      [&](std::size_t lane, const dynamics::VehicleState& ns, common::SliceIdx si) {
-        // classify_state over the analyzed block: off-map wins outright (no
-        // actor removal rescues it); otherwise the saturating hit count
-        // separates kPassed / kSole / kMulti, with first_hit as the sole
-        // blocker — the same outcome the scalar two-hit scan produces.
-        const auto& lanes = scratch.lanes;
-        BlockRecord rec;
-        rec.state = ns;
-        if (!map.contains_box_geom(
-                {lanes.nx[lane], lanes.ny[lane]}, half_len, half_wid,
-                {lanes.ax[lane], lanes.ay[lane]},
-                geom::Aabb{{lanes.lo_x[lane], lanes.lo_y[lane]},
-                           {lanes.hi_x[lane], lanes.hi_y[lane]}},
-                params_.map_margin)) {
-          rec.cls = BlockerClass::kOffMap;
-        } else if (lanes.hits[lane] == 1) {
-          rec.cls = BlockerClass::kSole;
-          rec.sole_blocker = lanes.first_hit[lane];
-        } else if (lanes.hits[lane] >= 2) {
-          rec.cls = BlockerClass::kMulti;
-        }
-        record(rec, si.value());
-        return rec.cls == BlockerClass::kPassed;
-      },
+      classify,
       [&](int j) { attr.rng_at_loop[static_cast<std::size_t>(j)] = rng; },
       [&](int j, std::size_t volume) {
         attr.volume_prefix[static_cast<std::size_t>(j) + 1] = volume;

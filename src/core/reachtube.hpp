@@ -59,19 +59,16 @@ struct ReachTubeParams {
   double map_margin = 0.3;   ///< footprint shrink for the drivable-area test (m)
   double wheelbase = 2.7;
   std::uint64_t sample_seed = 42;  ///< RNG stream for uniform sampling
-  /// Worker threads for the N+2 tube fan-out in StiCalculator (each of |T|,
-  /// |T^{∅}|, and the per-actor counterfactuals is an independent tube).
-  /// 0 = serial (default). A single tube is always computed on one thread —
-  /// its slices are sequentially dependent — so this knob never changes any
-  /// result, only wall-clock (DESIGN.md §8). RiskMonitorParams::tube and
-  /// SmcTrainConfig::tube plumb it into the monitor and SMC training.
+  /// Fan-out switch for StiCalculator's counterfactual tubes (|T^{∅}| and
+  /// each per-actor counterfactual are independent replays). 0 = serial
+  /// (default); any value > 0 runs the fan-out on the process-wide
+  /// common::ThreadPool::shared() (or a pool injected into StiCalculator),
+  /// whose width is the hardware's — the value sizes nothing. A single tube
+  /// is always computed on one thread — its slices are sequentially
+  /// dependent — so this knob never changes any result, only wall-clock
+  /// (DESIGN.md §8). RiskMonitorParams::tube and SmcTrainConfig::tube plumb
+  /// it into the monitor and SMC training.
   int num_threads = 0;
-  /// Initial reserve (entries) for the per-compute() scratch containers;
-  /// 0 = auto (min(max_states_per_slice, 4096)). Purely a performance hint:
-  /// the scratch is built on common::FlatHashGrid, whose iteration order is
-  /// insertion order regardless of capacity, so tube results are bit-identical
-  /// for any value (DESIGN.md §9; enforced by the capacity-invariance tests).
-  std::size_t scratch_reserve = 0;
 };
 
 /// An actor's footprint at each tube time slice (pre-sampled from its
@@ -107,7 +104,7 @@ struct ReachTube {
 // The N+2 tubes of one STI evaluation share almost their whole wavefront:
 // |T^{-i}| differs from |T| only downstream of candidates that actor i alone
 // rejected. An *attributed* base propagation records, for every candidate
-// state_ok tested, who (if anyone) rejected it; each counterfactual is then
+// it tested, who (if anyone) rejected it; each counterfactual is then
 // produced by *memoized replay* — the slices before actor i's first sole
 // rejection are copied verbatim, and from there the propagation loop re-runs
 // with collision geometry answered from the record. Fresh geometry runs only
@@ -312,9 +309,9 @@ class ReachTubeComputer {
   void load_active_set(const TubeAttribution& attr, detail::TubeScratch& scratch,
                        std::size_t slice) const;
 
-  /// The scratch shape this computer's params demand: expected entries (the
-  /// scratch_reserve hint or its auto default), `obstacle_count` exclusion
-  /// flags, and lane buffers big enough that the per-slice flush loop never
+  /// The scratch shape this computer's params demand: expected entries
+  /// (min(max_states_per_slice, 4096)), `obstacle_count` exclusion flags, and
+  /// lane buffers big enough that the per-slice flush loop never
   /// reallocates (kLaneBlock plus one parent's worst-case control count).
   /// Fed to detail::TubeScratch::reset by every scratch lease.
   struct ScratchShape {
@@ -345,18 +342,16 @@ class ReachTubeComputer {
   /// (a NaN footprint intersects nothing and would silently vanish).
   void check_timelines(std::span<const ObstacleTimeline> obstacles) const;
 
-  /// Full-attribution variant of state_ok: never stops at the first
-  /// intersecting obstacle — it keeps scanning until a *second* blocker is
-  /// found (two is enough: no single-actor removal rescues a kMulti).
-  BlockRecord classify_state(const roadmap::DrivableMap& map,
-                             const dynamics::VehicleState& s,
-                             std::span<const ObstacleTimeline> obstacles,
-                             std::span<const std::uint32_t> active,
-                             common::SliceIdx slice) const;
   /// Collision/off-map test against the slice's *active* obstacle subset
   /// (`active` holds indices into `obstacles`; the caller filters once per
   /// slice against a conservative reachable-disc bound, so the innermost
-  /// loop only visits obstacles that could possibly intersect).
+  /// loop only visits obstacles that could possibly intersect). The scalar
+  /// twin of analyze_lanes + the plain consult hook, kept for compute()'s
+  /// seed test and the replay's memo-miss test: routing the memo misses
+  /// through batched lane analysis instead was measured slower — in
+  /// interleaved release-build A/B runs of the e2e dense_blockers workload it
+  /// lost 12 of 14 pairs, tick_p50_ms 8–9% and tick_p99_ms 11–22% worse at
+  /// identical output digests.
   bool state_ok(const roadmap::DrivableMap& map, const dynamics::VehicleState& s,
                 std::span<const ObstacleTimeline> obstacles,
                 std::span<const std::uint32_t> active, common::SliceIdx slice) const;

@@ -44,9 +44,9 @@ struct CellReps {
 /// scratch allocations (tests/test_tube_alloc.cpp proves both scopes). The
 /// hash containers are common::FlatHashGrid: iteration order is insertion
 /// order by construction, independent of capacity and load factor, so —
-/// unlike the std::unordered_* scratch this replaced — pre-reserving (or
-/// varying ReachTubeParams::scratch_reserve) cannot perturb tube results
-/// (DESIGN.md §9).
+/// unlike the std::unordered_* scratch this replaced — pre-reserving, or a
+/// scratch grown by an earlier, bigger tube on the same session, cannot
+/// perturb tube results (DESIGN.md §9).
 struct TubeScratch {
   common::FlatHashGrid<CellReps> cells;
   common::FlatKeySet occupied;  // volume when dedup is off

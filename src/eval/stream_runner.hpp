@@ -11,8 +11,8 @@
 // world maker is called with the stream index, the session is fresh per
 // stream, and results land in index-owned slots — so an M-stream concurrent
 // run is bit-identical to running the same streams serially (DESIGN.md §8;
-// enforced by the StreamRunner suite and verified before every
-// stream_throughput bench recording).
+// enforced by the StreamRunner suite and by the e2e fleet_streams workload,
+// which checks every concurrent outcome against a serial run).
 #pragma once
 
 #include <cstddef>

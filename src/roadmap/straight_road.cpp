@@ -8,32 +8,14 @@ namespace iprism::roadmap {
 
 double DrivableMap::curvature_at(double /*s*/, double /*d*/) const { return 0.0; }
 
-namespace {
-
-/// Shared body of the two contains_box* defaults: the four margin-shrunk
-/// extent corners must lie on the drivable surface. One implementation so
-/// the OrientedBox and geometry-pieces entry points cannot drift apart.
-bool shrunk_corners_on_surface(const DrivableMap& map, const geom::Vec2& center,
-                               const geom::Vec2& axis_long, double half_length,
-                               double half_width, double margin) {
-  const geom::Vec2 fwd = axis_long * std::max(half_length - margin, 0.0);
-  const geom::Vec2 left = axis_long.perp() * std::max(half_width - margin, 0.0);
-  return map.contains(center + fwd + left) && map.contains(center + fwd - left) &&
-         map.contains(center - fwd + left) && map.contains(center - fwd - left);
-}
-
-}  // namespace
-
-bool DrivableMap::contains_box(const geom::OrientedBox& box, double margin) const {
-  return shrunk_corners_on_surface(*this, box.center(), box.axis_long(), box.half_length(),
-                                   box.half_width(), margin);
-}
-
 bool DrivableMap::contains_box_geom(const geom::Vec2& center, double half_length,
                                     double half_width, const geom::Vec2& axis_long,
                                     const geom::Aabb& /*aabb*/, double margin) const {
-  return shrunk_corners_on_surface(*this, center, axis_long, half_length, half_width,
-                                   margin);
+  // The four margin-shrunk extent corners must lie on the drivable surface.
+  const geom::Vec2 fwd = axis_long * std::max(half_length - margin, 0.0);
+  const geom::Vec2 left = axis_long.perp() * std::max(half_width - margin, 0.0);
+  return contains(center + fwd + left) && contains(center + fwd - left) &&
+         contains(center - fwd + left) && contains(center - fwd - left);
 }
 
 StraightRoad::StraightRoad(int lanes, double lane_width, double length)
@@ -56,11 +38,6 @@ int StraightRoad::lane_at(const geom::Vec2& p) const {
 double StraightRoad::lane_center_offset(int lane) const {
   IPRISM_CHECK(lane >= 0 && lane < lanes_, "StraightRoad: lane index out of range");
   return (lane + 0.5) * lane_width_;
-}
-
-bool StraightRoad::contains_box(const geom::OrientedBox& box, double margin) const {
-  return contains_box_geom(box.center(), box.half_length(), box.half_width(),
-                           box.axis_long(), box.aabb(), margin);
 }
 
 bool StraightRoad::contains_box_geom(const geom::Vec2& center, double /*half_length*/,

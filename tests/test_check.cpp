@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -137,6 +138,53 @@ TEST(ReachTubeParamsValidation, RejectsSubSliceHorizon) {
   p.dt = 1.0;
   p.horizon = 0.25;  // rounds to zero slices
   EXPECT_THROW(core::ReachTubeComputer{p}, std::invalid_argument);
+}
+
+TEST(ReachTubeParamsValidation, RejectsNonFiniteDtHorizonAndCellSize) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {inf, nan}) {
+    auto p = tube_params();
+    p.dt = bad;
+    EXPECT_THROW(core::ReachTubeComputer{p}, std::invalid_argument);
+    p = tube_params();
+    p.cell_size = bad;  // +inf used to collapse the tube to 3 cells
+    EXPECT_THROW(core::ReachTubeComputer{p}, std::invalid_argument);
+  }
+  // An infinite horizon is rejected by the finiteness check, before the
+  // slice count is rounded from it.
+  auto p = tube_params();
+  p.horizon = inf;
+  const std::string msg = message_of([&] { core::ReachTubeComputer computer{p}; });
+  EXPECT_NE(msg.find("ReachTubeParams: dt and horizon must be finite"), std::string::npos)
+      << msg;
+}
+
+TEST(ReachTubeParamsValidation, RejectsNonFiniteOrNegativeMapMargin) {
+  auto p = tube_params();
+  p.map_margin = 0.0;
+  EXPECT_NO_THROW(core::ReachTubeComputer{p});
+  // NaN used to reject every footprint silently: |T| = |T^∅| = 0, STI 0.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -0.1}) {
+    p.map_margin = bad;
+    const std::string msg = message_of([&] { core::ReachTubeComputer computer{p}; });
+    EXPECT_NE(msg.find("ReachTubeParams: map_margin"), std::string::npos) << msg;
+  }
+}
+
+TEST(ReachTubeParamsValidation, RejectsDegenerateEgoDims) {
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    auto p = tube_params();
+    p.ego_dims.length = bad;
+    std::string msg = message_of([&] { core::ReachTubeComputer computer{p}; });
+    EXPECT_NE(msg.find("ReachTubeParams: ego_dims"), std::string::npos) << msg;
+    p = tube_params();
+    p.ego_dims.width = bad;
+    msg = message_of([&] { core::ReachTubeComputer computer{p}; });
+    EXPECT_NE(msg.find("ReachTubeParams: ego_dims"), std::string::npos) << msg;
+  }
 }
 
 // ---------------------------------------------------------------------------

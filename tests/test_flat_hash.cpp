@@ -31,9 +31,15 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   return std::malloc(size);
 }
 
+// The replaced operator new above allocates with malloc, so free is the
+// matching release; GCC cannot see the replacement when it inlines these
+// into library code and reports a new/free mismatch.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace iprism::common {
 namespace {

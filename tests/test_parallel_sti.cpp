@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "common/telemetry.hpp"
 #include "core/monitor.hpp"
 #include "core/sti.hpp"
 #include "dynamics/cvtr.hpp"
+#include "roadmap/straight_road.hpp"
 #include "scenario/factory.hpp"
 #include "sim/world.hpp"
 #include "sti_reference.hpp"
@@ -134,18 +136,38 @@ TEST(ParallelSti, MonitorAssessmentsUnchangedByThreads) {
   }
 }
 
-// Capacity invariance: ReachTubeParams::scratch_reserve sizes the
-// FlatHashGrid-based per-compute scratch, and because that container's
-// iteration order is insertion order regardless of capacity (DESIGN.md §9),
-// any reserve must yield *bit-identical* tubes. This is the end-to-end form
-// of the container's order guarantee — the old std::unordered_* scratch
+// Capacity invariance: a session's scratch keeps the capacity its biggest
+// tube so far grew it to (FlatHashGrid tables, candidate buffers), so in a
+// real stream one tick's scratch capacity depends on every earlier tick.
+// Because that container's iteration order is insertion order regardless of
+// capacity (DESIGN.md §9), a session warmed by a bigger tube must yield
+// *bit-identical* results to a fresh one. The old std::unordered_* scratch
 // could not be pre-reserved precisely because this test would fail. Runs in
 // the CI tsan job alongside the thread-identity suites.
-constexpr std::size_t kScratchReserves[] = {0, 64, 4096};
 
-void expect_same_tube(const core::ReachTube& a, const core::ReachTube& b,
-                      std::size_t reserve) {
-  SCOPED_TRACE("scratch_reserve=" + std::to_string(reserve));
+/// Tube params whose per-slice cell count outgrows the default scratch
+/// reserve of 4096 entries (longer horizon, 10x finer grid): one propagation
+/// with them leaves every scratch it leased bigger than a fresh one
+/// (TubesBitIdenticalOnSessionWarmedByBiggerTube checks that it did).
+core::ReachTubeParams bigger_tube_params(int threads) {
+  core::ReachTubeParams params;
+  params.horizon = 4.0;
+  params.cell_size = 0.1;
+  params.num_threads = threads;
+  return params;
+}
+
+/// Runs one full STI evaluation with bigger_tube_params on `session`, so the
+/// base tube and each replay's leased scratch are grown before the session
+/// is used with default params.
+void warm_with_bigger_tube(core::RiskSession& session, const sim::World& world, int threads) {
+  const core::StiCalculator big(bigger_tube_params(threads));
+  const auto forecasts = core::cvtr_forecasts(world, 4.0, 0.25);
+  big.compute(session, world.map(), world.ego().state, common::Seconds{world.time()},
+              forecasts);
+}
+
+void expect_same_tube(const core::ReachTube& a, const core::ReachTube& b) {
   // Exact == on purpose: the guarantee is bit-identity, not closeness.
   EXPECT_EQ(a.volume, b.volume);
   ASSERT_EQ(a.slices.size(), b.slices.size());
@@ -162,57 +184,64 @@ void expect_same_tube(const core::ReachTube& a, const core::ReachTube& b,
   }
 }
 
-TEST(TubeCapacityInvariance, TubesBitIdenticalAcrossScratchReserves) {
+/// Cumulative slot-table rebuilds of the scratch grids (telemetry counter;
+/// 0 when telemetry is compiled out).
+std::uint64_t scratch_rehashes() {
+  const auto* c = common::telemetry::MetricsRegistry::instance().find_counter(
+      "reachtube.scratch_rehashes");
+  return c != nullptr ? c->value() : 0;
+}
+
+TEST(TubeCapacityInvariance, TubesBitIdenticalOnSessionWarmedByBiggerTube) {
   const scenario::ScenarioFactory factory;
   for (scenario::Typology typology : scenario::kAllTypologies) {
     SCOPED_TRACE(std::string(scenario::typology_name(typology)));
     const sim::World world = typology_world(factory, typology);
     const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
+    const core::ReachTubeComputer rt;
+    const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{world.time()});
 
-    const core::ReachTubeComputer reference_rt;
-    core::RiskSession reference_session;
-    const core::ReachTube reference =
-        reference_rt.compute(reference_session, world.map(), world.ego().state,
-                             common::Seconds{world.time()}, forecasts);
+    core::RiskSession fresh;
+    const std::uint64_t fresh_before = scratch_rehashes();
+    const core::ReachTube reference = rt.compute(fresh, world.map(), world.ego().state, obstacles);
+    const std::uint64_t fresh_rehashes = scratch_rehashes() - fresh_before;
 
-    for (std::size_t reserve : kScratchReserves) {
-      core::ReachTubeParams params;
-      params.scratch_reserve = reserve;
-      const core::ReachTubeComputer rt(params);
-      // A fresh session per reserve: a reused one would keep the first
-      // reserve's capacity and hide the knob.
-      core::RiskSession session;
-      expect_same_tube(reference,
-                       rt.compute(session, world.map(), world.ego().state,
-                                  common::Seconds{world.time()}, forecasts),
-                       reserve);
-    }
+    core::RiskSession warmed;
+    warm_with_bigger_tube(warmed, world, /*threads=*/0);
+    const std::uint64_t warmed_before = scratch_rehashes();
+    expect_same_tube(reference, rt.compute(warmed, world.map(), world.ego().state, obstacles));
+    const std::uint64_t warmed_rehashes = scratch_rehashes() - warmed_before;
+#if IPRISM_TELEMETRY_ENABLED
+    // The counter adds a scratch grid's lifetime rebuild count per
+    // propagation: more rebuilds behind the warmed scratch proves the warm-up
+    // really grew it past a fresh one's capacity.
+    EXPECT_GT(warmed_rehashes, fresh_rehashes);
+#else
+    EXPECT_EQ(warmed_rehashes, fresh_rehashes);
+#endif
   }
 }
 
-TEST(TubeCapacityInvariance, StiBitIdenticalAcrossScratchReservesAndThreads) {
-  // The combined matrix: scratch sizing x worker threads, both of which must
-  // be pure performance knobs with no observable effect on STI.
+TEST(TubeCapacityInvariance, StiBitIdenticalOnWarmedSessionAcrossThreads) {
+  // Scratch capacity x worker threads: neither may have an observable effect
+  // on STI. With threads > 0 the warm-up grows every scratch the fan-out
+  // leased, so the replays also run on grown scratch.
   const scenario::ScenarioFactory factory;
-  const sim::World world = typology_world(factory, scenario::Typology::kLeadCutIn);
-  const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
-
-  const core::StiCalculator serial;
-  core::RiskSession reference_session;
-  const core::StiResult reference = serial.compute(reference_session, world.map(),
-                                                   world.ego().state,
-                                                   common::Seconds{world.time()}, forecasts);
-
-  for (std::size_t reserve : kScratchReserves) {
+  for (scenario::Typology typology : scenario::kAllTypologies) {
+    SCOPED_TRACE(std::string(scenario::typology_name(typology)));
+    const sim::World world = typology_world(factory, typology);
+    const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
     for (int threads : {0, 2, 4}) {
       core::ReachTubeParams params;
-      params.scratch_reserve = reserve;
       params.num_threads = threads;
       const core::StiCalculator sti(params);
-      SCOPED_TRACE("scratch_reserve=" + std::to_string(reserve));
-      core::RiskSession session;
+      core::RiskSession fresh;
+      const core::StiResult reference = sti.compute(fresh, world.map(), world.ego().state,
+                                                    common::Seconds{world.time()}, forecasts);
+      core::RiskSession warmed;
+      warm_with_bigger_tube(warmed, world, threads);
       expect_bit_identical(reference,
-                           sti.compute(session, world.map(), world.ego().state,
+                           sti.compute(warmed, world.map(), world.ego().state,
                                        common::Seconds{world.time()}, forecasts),
                            threads);
     }
@@ -225,7 +254,7 @@ TEST(TubeCapacityInvariance, StiBitIdenticalAcrossScratchReservesAndThreads) {
 // attributed base propagation by memoized replay. Its contract is *exact*
 // identity — contents, cardinalities, SplitMix64 emission order — with the
 // from-scratch compute(..., exclude) of Eq. 4, for every typology, thread
-// count, and scratch reserve. The from-scratch side is the N+2-call
+// count, and scratch capacity. The from-scratch side is the N+2-call
 // reference of tests/sti_reference.hpp. These suites are the executable form
 // of that contract and run in the CI tsan job (the replay fan-out is the
 // concurrent workload).
@@ -246,7 +275,7 @@ TEST(CounterfactualDeltaIdentity, TubesBitIdenticalToFromScratchAcrossTypologies
 
     // Attribution only records — the base tube is the plain tube.
     expect_same_tube(rt.compute(session, world.map(), world.ego().state, obstacles),
-                     base.tube, 0);
+                     base.tube);
 
     // |T^{∅}| by replay vs the from-scratch no-obstacles tube.
     core::CounterfactualStats empty_stats;
@@ -254,8 +283,7 @@ TEST(CounterfactualDeltaIdentity, TubesBitIdenticalToFromScratchAcrossTypologies
         rt.compute(session, world.map(), world.ego().state,
                    std::span<const core::ObstacleTimeline>{}),
         rt.compute_unblocked(session, world.map(), world.ego().state, obstacles, base,
-                             &empty_stats),
-        0);
+                             &empty_stats));
 
     // Every |T^{/i}| by replay vs from-scratch compute(..., exclude).
     for (std::size_t i = 0; i < forecasts.size(); ++i) {
@@ -265,15 +293,16 @@ TEST(CounterfactualDeltaIdentity, TubesBitIdenticalToFromScratchAcrossTypologies
           rt.compute(session, world.map(), world.ego().state, obstacles,
                      common::ActorId{forecasts[i].id}),
           rt.compute_counterfactual(session, world.map(), world.ego().state, obstacles,
-                                    base, i, &stats),
-          0);
+                                    base, i, &stats));
       // A free counterfactual must really have skipped re-expansion.
-      if (stats.free) EXPECT_EQ(stats.fresh_tests, 0u);
+      if (stats.free) {
+        EXPECT_EQ(stats.fresh_tests, 0u);
+      }
     }
   }
 }
 
-TEST(CounterfactualDeltaIdentity, StiMatchesScratchEngineAcrossThreadsAndReserves) {
+TEST(CounterfactualDeltaIdentity, StiMatchesReferenceAcrossThreadsAndWarmedSessions) {
   const scenario::ScenarioFactory factory;
   for (scenario::Typology typology : scenario::kAllTypologies) {
     SCOPED_TRACE(std::string(scenario::typology_name(typology)));
@@ -283,22 +312,23 @@ TEST(CounterfactualDeltaIdentity, StiMatchesScratchEngineAcrossThreadsAndReserve
     const core::StiResult reference = test::reference_sti(
         world.map(), world.ego().state, common::Seconds{world.time()}, forecasts);
 
-    for (std::size_t reserve : kScratchReserves) {
-      for (int threads : {0, 2, 4}) {
-        core::ReachTubeParams params;
-        params.scratch_reserve = reserve;
-        params.num_threads = threads;
-        const core::StiCalculator delta(params);
-        SCOPED_TRACE("scratch_reserve=" + std::to_string(reserve));
-        core::RiskSession session;
+    for (int threads : {0, 2, 4}) {
+      core::ReachTubeParams params;
+      params.num_threads = threads;
+      const core::StiCalculator delta(params);
+      core::RiskSession fresh;
+      core::RiskSession warmed;
+      warm_with_bigger_tube(warmed, world, threads);
+      for (core::RiskSession* session : {&fresh, &warmed}) {
+        SCOPED_TRACE(session == &fresh ? "fresh session" : "session warmed by a bigger tube");
         expect_bit_identical(reference,
-                             delta.compute(session, world.map(), world.ego().state,
+                             delta.compute(*session, world.map(), world.ego().state,
                                            common::Seconds{world.time()}, forecasts),
                              threads);
         EXPECT_EQ(reference.combined,
-                  delta.combined(session, world.map(), world.ego().state,
+                  delta.combined(*session, world.map(), world.ego().state,
                                  common::Seconds{world.time()}, forecasts))
-            << "num_threads=" << threads << " scratch_reserve=" << reserve;
+            << "num_threads=" << threads;
       }
     }
   }
@@ -333,10 +363,97 @@ TEST(CounterfactualDeltaIdentity, ActorThatBlocksNothingIsFree) {
   EXPECT_TRUE(stats.free);
   EXPECT_EQ(stats.fresh_tests, 0u);
   EXPECT_EQ(stats.memo_hits, 0u);
-  expect_same_tube(base.tube, cf, 0);
+  expect_same_tube(base.tube, cf);
   expect_same_tube(rt.compute(session, world.map(), world.ego().state, obstacles,
                               common::ActorId{far_actor.id}),
-                   cf, 0);
+                   cf);
+}
+
+TEST(CounterfactualDeltaIdentity, SeedClassificationCoversEveryBlockerClass) {
+  // The slice-0 seed goes through the same lane analysis and classification
+  // as every propagated candidate. Place the ego so its own footprint is
+  // clear, off the map, hit by exactly one actor, or hit by two, and check
+  // the seed record plus the divergence bookkeeping the replays start from.
+  const roadmap::StraightRoad map(3, 3.5, 500.0);
+  const dynamics::CvtrPredictor predictor;
+  const auto parked = [&](int id, double x, double y) {
+    return core::ActorForecast{
+        id, predictor.predict({x, y, 0.0, 0.0}, common::Seconds{0.0}, common::Seconds{4.0},
+                              common::Seconds{0.25}),
+        dynamics::Dimensions{4.5, 2.0}};
+  };
+  // Actor 1 sits on the ego's spot, actor 2 overlaps it from 2 m ahead, and
+  // actor 3 is parked 30 m ahead in the same lane (a blocker of later slices).
+  const std::vector<core::ActorForecast> one_hit = {parked(3, 80.0, 5.25), parked(1, 50.0, 5.25)};
+  const std::vector<core::ActorForecast> two_hits = {parked(1, 50.0, 5.25), parked(3, 80.0, 5.25),
+                                                     parked(2, 52.0, 5.25)};
+  const std::vector<core::ActorForecast> clear = {parked(3, 80.0, 5.25)};
+  const dynamics::VehicleState on_lane{50.0, 5.25, 0.0, 8.0};
+  // 0.5 m from the road edge: the margin-shrunk footprint pokes past y = 0.
+  const dynamics::VehicleState off_map{50.0, 0.5, 0.0, 8.0};
+
+  struct Case {
+    const char* name;
+    dynamics::VehicleState ego;
+    const std::vector<core::ActorForecast>* forecasts;
+    core::BlockerClass cls;
+  };
+  const Case cases[] = {
+      {"clear", on_lane, &clear, core::BlockerClass::kPassed},
+      {"off map", off_map, &clear, core::BlockerClass::kOffMap},
+      {"one actor", on_lane, &one_hit, core::BlockerClass::kSole},
+      {"two actors", on_lane, &two_hits, core::BlockerClass::kMulti},
+  };
+
+  const core::ReachTubeComputer rt;
+  core::RiskSession session;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto obstacles = rt.sample_obstacles(*c.forecasts, common::Seconds{0.0});
+    const core::AttributedTube base = rt.compute_attributed(session, map, c.ego, obstacles);
+    const core::TubeAttribution& attr = base.attribution;
+    ASSERT_FALSE(attr.slices[0].tests.empty());
+    const core::BlockRecord& seed = attr.slices[0].tests[0];
+    EXPECT_EQ(seed.cls, c.cls);
+    EXPECT_EQ(seed.state.x, c.ego.x);
+    EXPECT_EQ(seed.state.y, c.ego.y);
+    EXPECT_EQ(base.tube.slices[0].size(), c.cls == core::BlockerClass::kPassed ? 1u : 0u);
+    switch (c.cls) {
+      case core::BlockerClass::kPassed:
+        // The parked actor ahead can only block later slices.
+        EXPECT_NE(attr.first_actor_block, 0u);
+        EXPECT_NE(attr.first_sole_block[0], 0u);
+        break;
+      case core::BlockerClass::kOffMap:
+        // Off-map is no actor's fault: nothing replays, nothing is rescued.
+        EXPECT_EQ(attr.first_actor_block, core::TubeAttribution::kNever);
+        EXPECT_EQ(attr.first_sole_block[0], core::TubeAttribution::kNever);
+        break;
+      case core::BlockerClass::kSole:
+        EXPECT_EQ(seed.sole_blocker, 1u);  // obstacle index of actor 1
+        EXPECT_EQ(attr.first_sole_block[1], 0u);
+        EXPECT_EQ(attr.first_sole_block[0], core::TubeAttribution::kNever);
+        EXPECT_EQ(attr.first_actor_block, 0u);
+        break;
+      case core::BlockerClass::kMulti:
+        EXPECT_EQ(attr.first_actor_block, 0u);
+        for (std::size_t i = 0; i < obstacles.size(); ++i) {
+          EXPECT_EQ(attr.first_sole_block[i], core::TubeAttribution::kNever) << "obstacle " << i;
+        }
+        break;
+    }
+
+    const core::StiResult reference =
+        test::reference_sti(map, c.ego, common::Seconds{0.0}, *c.forecasts);
+    for (int threads : {0, 2}) {
+      core::ReachTubeParams params;
+      params.num_threads = threads;
+      const core::StiCalculator sti(params);
+      expect_bit_identical(reference,
+                           sti.compute(session, map, c.ego, common::Seconds{0.0}, *c.forecasts),
+                           threads);
+    }
+  }
 }
 
 TEST(CounterfactualDeltaIdentity, MonitorAssessmentsUnchangedByEngine) {

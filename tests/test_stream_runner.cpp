@@ -1,9 +1,8 @@
 // StreamRunner contract (DESIGN.md §14): M concurrent scenario streams over
 // one shared const monitor engine are bit-identical to the same streams run
 // serially — each outcome is a pure function of its stream index. Part of
-// the CI tsan job (the stream fan-out + nested tube fan-out is the
-// concurrent workload) and the determinism gate the stream_throughput bench
-// re-verifies before every recording.
+// the CI tsan and asan-ubsan jobs (the stream fan-out + nested tube fan-out
+// is the concurrent workload).
 #include "eval/stream_runner.hpp"
 
 #include <gtest/gtest.h>

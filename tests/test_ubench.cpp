@@ -1,13 +1,15 @@
 // The ubench harness replaced the system google-benchmark so that committed
 // BENCH_*.json baselines can never again carry a debug-built benchmark
-// library (the original BENCH_tube_hotpath.json taint). These tests pin the
-// pieces the guard and the JSON consumers rely on: registration/Arg naming,
-// filter semantics, the gbench-compatible JSON shape, and the
+// library. These tests pin the pieces the guard and the JSON consumers rely
+// on: registration/Arg naming, filter semantics (including the failure on a
+// filter that selects nothing), the gbench-compatible JSON shape, and the
 // library_build_type the context block reports.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ubench.hpp"
 
@@ -75,6 +77,22 @@ TEST(Ubench, JsonReportCarriesContextAndBenchmarks) {
             std::string::npos);
   EXPECT_NE(json.find("\"name\": \"BM_UbenchSelfArgs/3\""), std::string::npos);
   EXPECT_NE(json.find("\"time_unit\": \"ns\""), std::string::npos);
+}
+
+/// ubench::run_main over argv-style arguments (argv[0] is the program name).
+int run_main_with(std::vector<std::string> args) {
+  args.insert(args.begin(), "ubench_test");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return ubench::run_main(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(Ubench, RunMainFailsWhenFilterSelectsNothing) {
+  // A stale filter in a CI step must not pass having run nothing.
+  EXPECT_NE(run_main_with({"--benchmark_filter=BM_NoSuchThing"}), 0);
+  EXPECT_EQ(run_main_with({"--benchmark_filter=BM_UbenchSelfPlain",
+                           "--benchmark_min_time=0"}),
+            0);
 }
 
 TEST(Ubench, LibraryBuildTypeMatchesThisBuild) {

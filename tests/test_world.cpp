@@ -112,7 +112,9 @@ TEST(World, CrashedActorsBecomeWreckage) {
   // Run on: the wrecks must brake to a stop and stay put.
   for (int i = 0; i < 40; ++i) w.step(std::nullopt);
   for (const Actor& a : w.actors()) {
-    if (a.crashed) EXPECT_DOUBLE_EQ(a.state.speed, 0.0);
+    if (a.crashed) {
+      EXPECT_DOUBLE_EQ(a.state.speed, 0.0);
+    }
   }
   // No duplicate collision events between the same wrecks.
   EXPECT_EQ(w.collisions().size(), 1u);
