@@ -50,23 +50,11 @@ RiskMonitor::Assessment RiskMonitor::update(RiskSession& session,
   Assessment out;
   const bool may_attribute = params_.attribute_when_elevated && !forecasts.empty();
 
-  // Already elevated: the per-actor attribution is wanted every tick, so go
-  // straight to the full per-actor compute (one attributed propagation plus
-  // N+1 memoized replays under the §12 delta engine). At kSafe, run the
-  // cheap combined() first — one attributed tube plus at most one |T^{∅}|
-  // replay; steady-state safe ticks never pay for per-actor counterfactuals
-  // — and decide attribution from the *implied* level of the STI it returns
-  // (below), not from the stale pre-update level_.
-  std::optional<StiResult> full;
-  if (may_attribute && st.level >= RiskLevel::kCaution) {
-    IPRISM_COUNT("monitor.attribution_runs");
-    full = sti_.compute(session, world.map(), world.ego().state,
-                        common::Seconds{world.time()}, forecasts);
-    out.sti_combined = full->combined;
-  } else {
-    out.sti_combined = sti_.combined(session, world.map(), world.ego().state,
-                                     common::Seconds{world.time()}, forecasts);
-  }
+  // Wave 1 every tick: |T| with its attribution record and |T^{∅}| — all
+  // the combined STI needs, and what the per-actor wave starts from.
+  const StiWave1 wave = sti_.wave1(session, world.map(), world.ego().state,
+                                   common::Seconds{world.time()}, forecasts);
+  out.sti_combined = wave.combined();
 
   // STI is clamped to [0, 1] by construction; the threshold comparison
   // below silently misclassifies if that ever breaks.
@@ -81,22 +69,16 @@ RiskMonitor::Assessment RiskMonitor::update(RiskSession& session,
     implied = RiskLevel::kCaution;
   }
 
-  // Escalation-tick attribution: this tick crosses into kCaution/kCritical
-  // from below, so the combined()-only fast path above skipped the
-  // per-actor pass. Re-run the full compute now — tube evaluation is
-  // deterministic (DESIGN.md §8) and both engines derive |T| and |T^{∅}|
-  // identically (§12), so full.combined is bit-identical to the value
-  // already in out.sti_combined and `implied` stands.
-  if (may_attribute && implied > st.level && !full) {
+  // The per-actor wave runs on ticks already elevated and on the tick that
+  // escalates — decided from the implied level, so the escalation tick names
+  // its riskiest actor — and starts from this tick's wave 1: steady-state
+  // safe ticks never pay for counterfactuals, and no tick builds wave 1
+  // twice.
+  if (may_attribute && (st.level >= RiskLevel::kCaution || implied > st.level)) {
     IPRISM_COUNT("monitor.attribution_runs");
-    full = sti_.compute(session, world.map(), world.ego().state,
-                        common::Seconds{world.time()}, forecasts);
-    // NOLINTNEXTLINE(iprism-float-eq): the determinism contract is bit-exact
-    IPRISM_DCHECK(full->combined == out.sti_combined,
-                  "RiskMonitor: attribution re-run disagrees with combined()");
-  }
-  if (full) {
-    if (const auto riskiest = riskiest_actor_of(*full)) {
+    const StiResult full =
+        sti_.attribute(session, world.map(), world.ego().state, forecasts, wave);
+    if (const auto riskiest = riskiest_actor_of(full)) {
       out.riskiest_actor = riskiest->first;
       out.riskiest_sti = riskiest->second;
     }

@@ -68,8 +68,11 @@ class RiskMonitor {
   };
 
   /// One monitoring step of `session`'s stream on the live world (checked:
-  /// world needs an ego). Const: every mutation lands in the session, so
-  /// concurrent calls with *distinct* sessions are safe on one monitor.
+  /// world needs an ego). Builds wave 1 (StiCalculator::wave1: |T| and
+  /// |T^{∅}|) once; on elevated and escalating ticks the per-actor wave runs
+  /// on top of it (DESIGN.md §14). Const: every mutation lands in the
+  /// session, so concurrent calls with *distinct* sessions are safe on one
+  /// monitor.
   Assessment update(RiskSession& session, const sim::World& world) const;
 
   const StiCalculator& sti_calculator() const { return sti_; }

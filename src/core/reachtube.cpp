@@ -10,7 +10,6 @@
 #include "common/telemetry.hpp"
 #include "core/session_state.hpp"
 #include "dynamics/step_batch.hpp"
-#include "geom/batch.hpp"
 
 namespace iprism::core {
 
@@ -20,6 +19,7 @@ namespace iprism::core {
 // detail::ScratchLease.
 using detail::CellReps;
 using detail::kLaneBlock;
+using detail::ScratchShape;
 using detail::TubeScratch;
 
 namespace {
@@ -152,34 +152,39 @@ std::vector<ObstacleTimeline> ReachTubeComputer::sample_obstacles(
   return out;
 }
 
-bool ReachTubeComputer::state_ok(const roadmap::DrivableMap& map,
-                                 const dynamics::VehicleState& s,
-                                 std::span<const ObstacleTimeline> obstacles,
-                                 std::span<const std::uint32_t> active,
-                                 common::SliceIdx slice_idx) const {
+ReachTubeComputer::Verdict ReachTubeComputer::survival_test(
+    const roadmap::DrivableMap& map, const dynamics::VehicleState& s,
+    std::span<const ObstacleTimeline> obstacles, std::span<const std::uint32_t> active,
+    common::SliceIdx slice_idx, int max_hits) const {
   const std::size_t slice = slice_idx.value();
   const geom::OrientedBox ego_box = dynamics::footprint(s, params_.ego_dims);
-  if (!map.contains_box(ego_box, params_.map_margin)) return false;
-  const double ego_r = ego_circumradius_;
+  // Off-map wins outright: no actor removal rescues the candidate.
+  if (!map.contains_box(ego_box, params_.map_margin)) return {BlockerClass::kOffMap, 0};
+  int hits = 0;
+  std::uint32_t first = 0;
   for (const std::uint32_t oi : active) {
     const ObstacleTimeline& obs = obstacles[oi];
     IPRISM_DCHECK(slice < obs.by_slice.size(),
                   "ReachTube: slice index out of obstacle timeline bounds");
     const geom::OrientedBox& box = obs.by_slice[slice];
-    // Broad phase before the exact SAT test (radius precomputed per timeline).
-    const double r = ego_r + obs.circumradius_by_slice[slice];
+    // Circumradius pretest (radius precomputed per timeline), then SAT only:
+    // intersects() would repeat the same pretest on the same operands.
+    const double r = ego_circumradius_ + obs.circumradius_by_slice[slice];
     if ((box.center() - ego_box.center()).norm_sq() > r * r) continue;
-    if (ego_box.intersects(box)) return false;
+    if (!ego_box.intersects_sat(box)) continue;
+    if (hits == 0) first = oi;
+    if (++hits >= max_hits) break;
   }
-  return true;
+  if (hits == 0) return {BlockerClass::kPassed, 0};
+  if (hits == 1) return {BlockerClass::kSole, first};
+  return {BlockerClass::kMulti, 0};
 }
 
-template <class Activate, class Analyze, class Consult, class OnLoopBegin,
-          class OnSliceDone>
+template <class Activate, class Consult, class OnLoopBegin, class OnSliceDone>
 void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
                                   std::size_t& volume_cells, common::Rng& rng,
-                                  int first_loop, Activate&& activate, Analyze&& analyze,
-                                  Consult&& consult, OnLoopBegin&& on_loop_begin,
+                                  int first_loop, Activate&& activate, Consult&& consult,
+                                  OnLoopBegin&& on_loop_begin,
                                   OnSliceDone&& on_slice_done) const {
   [[maybe_unused]] std::size_t slices_processed = 0;
   [[maybe_unused]] std::size_t states_expanded = 0;
@@ -207,10 +212,11 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
     activate(slice_idx);
     std::size_t dead_cells = 0;
 
-    // Stage-5 decision pass: consumes one analyzed block sequentially, in
-    // the exact candidate order the historical generate-then-test loop
-    // produced — so dedup bookkeeping, the per-slice cap, and the emitted
-    // tube are bit-identical by construction.
+    // Decision pass: consumes one stepped block sequentially, in the exact
+    // candidate order the historical generate-then-test loop produced — so
+    // dedup bookkeeping, the per-slice cap, and the emitted tube are
+    // bit-identical by construction. Only the candidates it consults pay
+    // for geometry: dedup discards most stepped lanes before that.
     auto decide = [&](std::size_t block) {
       for (std::size_t i = 0; i < block; ++i) {
         // `candidates` never shrinks within a slice, so once the cap is hit
@@ -220,7 +226,7 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
                                         lanes.nv[i]};
 
         if (!params_.dedup) {
-          if (!consult(i, ns, slice_idx)) continue;
+          if (!consult(ns, slice_idx)) continue;
           candidates.push_back(ns);
           occupied.insert(lanes.key[i]);
           continue;
@@ -232,7 +238,7 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
         // second hash lookup on every propagated state.
         auto [reps_slot, inserted] = cells.insert(lanes.key[i]);
         if (inserted) {
-          if (!consult(i, ns, slice_idx)) {
+          if (!consult(ns, slice_idx)) {
             ++dead_cells;  // reps_slot keeps its default min_v = -1 dead marker
             continue;
           }
@@ -248,7 +254,7 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
         const bool improves = ns.speed < reps.v_lo || ns.speed > reps.v_hi ||
                               ns.heading < reps.h_lo || ns.heading > reps.h_hi;
         if (!improves) continue;
-        if (!consult(i, ns, slice_idx)) continue;
+        if (!consult(ns, slice_idx)) continue;
         const int idx = static_cast<int>(candidates.size());
         candidates.push_back(ns);
         if (ns.speed < reps.v_lo) {
@@ -270,11 +276,10 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
       }
     };
 
-    // Stages 1–5 over the pending block: batch-step every lane, batch the
-    // cell keys, run the caller's geometry analysis, then decide. A block
-    // queued entirely past the cap is dropped wholesale — the scalar loop
-    // never stepped those candidates either, and `decide` would discard
-    // every one of them.
+    // Over the pending block: batch-step every lane, batch the cell keys,
+    // then decide. A block queued entirely past the cap is dropped
+    // wholesale — the scalar loop never stepped those candidates either, and
+    // `decide` would discard every one of them.
     auto flush = [&] {
       const std::size_t block = lanes.count;
       if (block == 0) return;
@@ -291,7 +296,6 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
       for (std::size_t i = 0; i < block; ++i) {
         lanes.key[i] = xy_key(lanes.nx[i], lanes.ny[i], inv_cell);
       }
-      analyze(slice_idx);
       decide(block);
       lanes.count = 0;
     };
@@ -403,55 +407,6 @@ void ReachTubeComputer::build_active_set(std::span<const ObstacleTimeline> obsta
   }
 }
 
-void ReachTubeComputer::analyze_lanes(std::span<const ObstacleTimeline> obstacles,
-                                      TubeScratch& scratch, common::SliceIdx slice_idx,
-                                      int max_hits) const {
-  auto& lanes = scratch.lanes;
-  const std::size_t n = lanes.count;
-  const std::size_t slice = slice_idx.value();
-  // Exactly dynamics::footprint's extents — the batch kernels and the scalar
-  // narrow phase must describe the same rectangle to the bit.
-  const double half_len = params_.ego_dims.length / 2.0;
-  const double half_wid = params_.ego_dims.width / 2.0;
-
-  geom::footprint_axes(n, lanes.nh.data(), lanes.ax.data(), lanes.ay.data());
-  geom::footprint_aabbs(n, lanes.nx.data(), lanes.ny.data(), lanes.ax.data(),
-                        lanes.ay.data(), half_len, half_wid, lanes.lo_x.data(),
-                        lanes.lo_y.data(), lanes.hi_x.data(), lanes.hi_y.data());
-  std::fill_n(lanes.hits.begin(), n, std::uint8_t{0});
-  // first_hit is only read for lanes whose count is exactly one, and the
-  // first hit always writes it — stale values are never observed.
-
-  const auto hits_cap = static_cast<std::uint8_t>(max_hits);
-  for (const std::uint32_t oi : scratch.active) {
-    const ObstacleTimeline& obs = obstacles[oi];
-    IPRISM_DCHECK(slice < obs.by_slice.size(),
-                  "ReachTube: slice index out of obstacle timeline bounds");
-    const geom::OrientedBox& box = obs.by_slice[slice];
-    // Stage 3: circumradius broad phase for the whole block at once (radius
-    // precomputed per timeline, hoisted per obstacle instead of per lane).
-    const double r = ego_circumradius_ + obs.circumradius_by_slice[slice];
-    const std::size_t survivors =
-        geom::broad_phase_cull(n, lanes.nx.data(), lanes.ny.data(), box.center().x,
-                               box.center().y, r * r, lanes.broad.data());
-    if (survivors == 0) continue;
-    // Stage 4: narrow phase stays scalar — SAT is branchy and short, and
-    // typically runs on a small broad-phase remnant (DESIGN.md §13). Hit
-    // counting saturates at max_hits (1 answers pass/fail; 2 distinguishes
-    // kSole from kMulti), matching the scalar scans' early exits.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (lanes.broad[i] == 0) continue;
-      if (lanes.hits[i] >= hits_cap) continue;
-      const geom::OrientedBox ego_box = geom::OrientedBox::with_axis(
-          {lanes.nx[i], lanes.ny[i]}, half_len, half_wid, lanes.nh[i],
-          {lanes.ax[i], lanes.ay[i]});
-      if (!ego_box.intersects(box)) continue;
-      if (lanes.hits[i] == 0) lanes.first_hit[i] = oi;
-      ++lanes.hits[i];
-    }
-  }
-}
-
 void ReachTubeComputer::load_active_set(const TubeAttribution& attr, TubeScratch& scratch,
                                         std::size_t slice) const {
   IPRISM_DCHECK(slice + 1 < attr.active_offsets.size(),
@@ -466,8 +421,7 @@ void ReachTubeComputer::load_active_set(const TubeAttribution& attr, TubeScratch
   }
 }
 
-ReachTubeComputer::ScratchShape ReachTubeComputer::scratch_shape(
-    std::size_t obstacle_count) const {
+ScratchShape ReachTubeComputer::scratch_shape(std::size_t obstacle_count) const {
   const std::size_t expected = std::min<std::size_t>(params_.max_states_per_slice, 4096);
   // Worst-case lanes one parent can queue past the kLaneBlock flush
   // threshold: with boundary controls only, the boundary set; with uniform
@@ -477,7 +431,8 @@ ReachTubeComputer::ScratchShape ReachTubeComputer::scratch_shape(
           ? boundary_set_.size()
           : std::max(boundary_set_.size(),
                      static_cast<std::size_t>(params_.uniform_samples));
-  return ScratchShape{expected, obstacle_count, kLaneBlock + per_parent};
+  return ScratchShape{expected, params_.dedup ? 0 : expected, obstacle_count,
+                      kLaneBlock + per_parent};
 }
 
 void ReachTubeComputer::check_timelines(std::span<const ObstacleTimeline> obstacles) const {
@@ -510,9 +465,8 @@ ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::Drivab
   ReachTube tube;
   tube.slices.assign(static_cast<std::size_t>(slices_) + 1, {});
 
-  const ScratchShape shape = scratch_shape(obstacles.size());
-  const detail::ScratchLease lease(session.state().scratch_pool, shape.expected,
-                                   shape.obstacles, shape.lanes);
+  const detail::ScratchLease lease(session.state().scratch_pool,
+                                   scratch_shape(obstacles.size()));
   TubeScratch& scratch = *lease;
   // ActorId::none() compares equal to no real (>= 0) actor id, so the
   // default excludes nobody — including anonymous hand-built timelines.
@@ -525,30 +479,18 @@ ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::Drivab
   // Slice 0: the current ego state. If it already collides (or is off-map),
   // every escape route is gone and the tube is empty.
   build_active_set(obstacles, ego, scratch, common::SliceIdx{0});
-  if (!state_ok(map, ego, obstacles, scratch.active, common::SliceIdx{0})) return tube;
+  const Verdict seed = survival_test(map, ego, obstacles, scratch.active,
+                                     common::SliceIdx{0}, /*max_hits=*/1);
+  if (!seed.passed()) return tube;
   tube.slices[0].push_back(ego);
 
   std::size_t volume_cells = 1;  // the seed's own cell
   common::Rng rng(params_.sample_seed);
-  const double half_len = params_.ego_dims.length / 2.0;
-  const double half_wid = params_.ego_dims.width / 2.0;
   propagate(
       scratch, tube, volume_cells, rng, 0,
       [&](common::SliceIdx si) { build_active_set(obstacles, ego, scratch, si); },
-      [&](common::SliceIdx si) { analyze_lanes(obstacles, scratch, si, /*max_hits=*/1); },
-      [&](std::size_t lane, const dynamics::VehicleState&, common::SliceIdx) {
-        const auto& lanes = scratch.lanes;
-        // Same conjunction as the scalar state_ok (map ∧ no obstacle hit),
-        // with the obstacle side answered from the analyzed block; neither
-        // test has side effects, so evaluation order is free — check the
-        // in-hand hit count before the virtual map call.
-        if (lanes.hits[lane] != 0) return false;
-        return map.contains_box_geom(
-            {lanes.nx[lane], lanes.ny[lane]}, half_len, half_wid,
-            {lanes.ax[lane], lanes.ay[lane]},
-            geom::Aabb{{lanes.lo_x[lane], lanes.lo_y[lane]},
-                       {lanes.hi_x[lane], lanes.hi_y[lane]}},
-            params_.map_margin);
+      [&](const dynamics::VehicleState& ns, common::SliceIdx si) {
+        return survival_test(map, ns, obstacles, scratch.active, si, /*max_hits=*/1).passed();
       },
       [](int) {}, [](int, std::size_t) {});
 
@@ -575,9 +517,8 @@ AttributedTube ReachTubeComputer::compute_attributed(
   attr.first_sole_block.assign(obstacles.size(), TubeAttribution::kNever);
   attr.obstacle_count = obstacles.size();
 
-  const ScratchShape shape = scratch_shape(obstacles.size());
-  const detail::ScratchLease lease(session.state().scratch_pool, shape.expected,
-                                   shape.obstacles, shape.lanes);
+  const detail::ScratchLease lease(session.state().scratch_pool,
+                                   scratch_shape(obstacles.size()));
   TubeScratch& scratch = *lease;  // excluded: all zero after reset
 
   // Per-slice active obstacle sets, built exactly once per (obstacle set,
@@ -613,47 +554,16 @@ AttributedTube ReachTubeComputer::compute_attributed(
   };
 
   // One classification rule for the seed and every propagated candidate:
-  // off-map wins outright (no actor removal rescues it); otherwise the
-  // analyzed block's saturating hit count separates kPassed / kSole / kMulti,
-  // with first_hit as the sole blocker. Records the outcome and answers
-  // "does this candidate survive".
-  const double half_len = params_.ego_dims.length / 2.0;
-  const double half_wid = params_.ego_dims.width / 2.0;
-  auto& lanes = scratch.lanes;
-  auto classify = [&](std::size_t lane, const dynamics::VehicleState& ns,
-                      common::SliceIdx si) {
-    BlockRecord rec;
-    rec.state = ns;
-    if (!map.contains_box_geom(
-            {lanes.nx[lane], lanes.ny[lane]}, half_len, half_wid,
-            {lanes.ax[lane], lanes.ay[lane]},
-            geom::Aabb{{lanes.lo_x[lane], lanes.lo_y[lane]},
-                       {lanes.hi_x[lane], lanes.hi_y[lane]}},
-            params_.map_margin)) {
-      rec.cls = BlockerClass::kOffMap;
-    } else if (lanes.hits[lane] == 1) {
-      rec.cls = BlockerClass::kSole;
-      rec.sole_blocker = lanes.first_hit[lane];
-    } else if (lanes.hits[lane] >= 2) {
-      rec.cls = BlockerClass::kMulti;
-    }
-    record(rec, si.value());
-    return rec.cls == BlockerClass::kPassed;
+  // the survival test with hits counted to two separates kPassed / kOffMap /
+  // kSole / kMulti. Records the outcome and answers "does it survive".
+  auto classify = [&](const dynamics::VehicleState& ns, common::SliceIdx si) {
+    const Verdict v = survival_test(map, ns, obstacles, scratch.active, si, /*max_hits=*/2);
+    record(BlockRecord{ns, v.sole_blocker, v.cls}, si.value());
+    return v.passed();
   };
 
-  // Slice 0: the ego enters as lane 0 of a one-lane block that is already
-  // "stepped" (its successor fields hold the seed), so the seed takes the
-  // same batched analysis and classification as every later candidate.
   load_active_set(attr, scratch, 0);
-  lanes.nx[0] = ego.x;
-  lanes.ny[0] = ego.y;
-  lanes.nh[0] = ego.heading;
-  lanes.nv[0] = ego.speed;
-  lanes.count = 1;
-  analyze_lanes(obstacles, scratch, common::SliceIdx{0}, /*max_hits=*/2);
-  const bool seed_ok = classify(0, ego, common::SliceIdx{0});
-  lanes.count = 0;
-  if (!seed_ok) {
+  if (!classify(ego, common::SliceIdx{0})) {
     IPRISM_COUNT_ADD("reachtube.blocked_frontier_size", attr.blocked_frontier);
     return out;  // empty tube; replays may still rescue the seed
   }
@@ -665,9 +575,7 @@ AttributedTube ReachTubeComputer::compute_attributed(
   int last_done = 0;
   propagate(
       scratch, tube, volume_cells, rng, 0,
-      [&](common::SliceIdx si) { load_active_set(attr, scratch, si.value()); },
-      [&](common::SliceIdx si) { analyze_lanes(obstacles, scratch, si, /*max_hits=*/2); },
-      classify,
+      [&](common::SliceIdx si) { load_active_set(attr, scratch, si.value()); }, classify,
       [&](int j) { attr.rng_at_loop[static_cast<std::size_t>(j)] = rng; },
       [&](int j, std::size_t volume) {
         attr.volume_prefix[static_cast<std::size_t>(j) + 1] = volume;
@@ -686,27 +594,43 @@ AttributedTube ReachTubeComputer::compute_attributed(
   return out;
 }
 
-ReachTube ReachTubeComputer::replay_counterfactual(
-    RiskSession& session, const roadmap::DrivableMap& map,
-    const dynamics::VehicleState& ego, std::span<const ObstacleTimeline> obstacles,
-    const AttributedTube& base, bool exclude_all, std::size_t exclude_index,
-    CounterfactualStats* stats) const {
-  const TubeAttribution& attr = base.attribution;
+void ReachTubeComputer::check_attribution(std::span<const ObstacleTimeline> obstacles,
+                                          const TubeAttribution& attr) const {
   IPRISM_CHECK(attr.obstacle_count == obstacles.size() &&
                    attr.slices.size() == static_cast<std::size_t>(slices_) + 1 &&
                    attr.active_offsets.size() == static_cast<std::size_t>(slices_) + 2,
                "ReachTube: attribution record does not match this obstacles/params set");
-  IPRISM_DCHECK(exclude_all || exclude_index < obstacles.size(),
-                "ReachTube: counterfactual exclude index out of range");
+}
 
+int ReachTubeComputer::copy_prefix(const AttributedTube& base, std::uint32_t jstar,
+                                   ReachTube& tube, std::size_t& volume_cells,
+                                   common::Rng& rng) const {
+  // Slices before the divergence are bit-identical by induction: no survival
+  // outcome differs there, so the exact states (and the RNG stream) are the
+  // base run's — copy, don't recompute.
+  const TubeAttribution& attr = base.attribution;
+  for (std::size_t k = 0; k < jstar; ++k) tube.slices[k] = base.tube.slices[k];
+  volume_cells = attr.volume_prefix[jstar - 1];
+  rng = attr.rng_at_loop[jstar - 1];
+  return static_cast<int>(jstar) - 1;
+}
+
+ReachTube ReachTubeComputer::compute_counterfactual(
+    RiskSession& session, const roadmap::DrivableMap& map,
+    const dynamics::VehicleState& ego, std::span<const ObstacleTimeline> obstacles,
+    const AttributedTube& base, std::size_t exclude_index,
+    CounterfactualStats* stats) const {
+  const TubeAttribution& attr = base.attribution;
+  check_attribution(obstacles, attr);
   CounterfactualStats local;
   CounterfactualStats& st = stats != nullptr ? *stats : local;
   st = CounterfactualStats{};
+  IPRISM_DCHECK(exclude_index < obstacles.size(),
+                "ReachTube: counterfactual exclude index out of range");
 
-  const std::uint32_t jstar =
-      exclude_all ? attr.first_actor_block : attr.first_sole_block[exclude_index];
+  const std::uint32_t jstar = attr.first_sole_block[exclude_index];
   if (jstar == TubeAttribution::kNever) {
-    // The lifted blocker(s) never rejected a candidate: every state_ok
+    // The lifted blocker never rejected a candidate alone: every survival
     // outcome — and therefore the whole propagation — is unchanged.
     st.free = true;
     return base.tube;
@@ -716,19 +640,14 @@ ReachTube ReachTubeComputer::replay_counterfactual(
   ReachTube tube;
   tube.slices.assign(static_cast<std::size_t>(slices_) + 1, {});
 
-  const ScratchShape shape = scratch_shape(obstacles.size());
-  const detail::ScratchLease lease(session.state().scratch_pool, shape.expected,
-                                   shape.obstacles, shape.lanes);
+  const detail::ScratchLease lease(session.state().scratch_pool,
+                                   scratch_shape(obstacles.size()));
   TubeScratch& scratch = *lease;
-  if (exclude_all) {
-    scratch.excluded.assign(obstacles.size(), 1);
-  } else {
-    scratch.excluded[exclude_index] = 1;
-  }
+  scratch.excluded[exclude_index] = 1;
 
   // Memoized state test: identical candidates take their answer from the
-  // base record (converted for the lifted blockers — exact, see §12); delta
-  // candidates the base never tested fall through to real geometry.
+  // base record (converted for the lifted blocker — exact, see §12); delta
+  // candidates the base never tested fall through to the survival test.
   auto test = [&](const dynamics::VehicleState& ns, common::SliceIdx si) {
     const SliceAttribution& sa = attr.slices[si.value()];
     if (const std::uint32_t* ti = sa.by_state.find(state_bits_key(ns))) {
@@ -738,14 +657,13 @@ ReachTube ReachTubeComputer::replay_counterfactual(
         switch (rec.cls) {
           case BlockerClass::kPassed: return true;   // removal cannot fail it
           case BlockerClass::kOffMap: return false;  // no removal rescues it
-          case BlockerClass::kSole:
-            return exclude_all || rec.sole_blocker == exclude_index;
-          case BlockerClass::kMulti: return exclude_all;
+          case BlockerClass::kSole: return rec.sole_blocker == exclude_index;
+          case BlockerClass::kMulti: return false;   // another blocker remains
         }
       }
     }
     ++st.fresh_tests;
-    return state_ok(map, ns, obstacles, scratch.active, si);
+    return survival_test(map, ns, obstacles, scratch.active, si, /*max_hits=*/1).passed();
   };
 
   std::size_t volume_cells = 0;
@@ -759,41 +677,19 @@ ReachTube ReachTubeComputer::replay_counterfactual(
     tube.slices[0].push_back(ego);
     volume_cells = 1;
   } else {
-    // Slices before the divergence are bit-identical by induction: no
-    // state_ok outcome differs there, so the exact states (and the RNG
-    // stream) are the base run's — copy, don't recompute.
-    for (std::size_t k = 0; k < jstar; ++k) tube.slices[k] = base.tube.slices[k];
-    volume_cells = attr.volume_prefix[jstar - 1];
-    rng = attr.rng_at_loop[jstar - 1];
-    first_loop = static_cast<int>(jstar) - 1;
+    first_loop = copy_prefix(base, jstar, tube, volume_cells, rng);
   }
-  // Replays share the batch step/key stages but skip the geometry analysis:
-  // `test` answers from the memo (or falls back to the scalar state_ok for
-  // delta candidates the base never tested), reading nothing from the
-  // analyzed lane outcomes. The active set is the base run's, filtered
-  // through this replay's exclusions while loading — identical to rebuilding
-  // it, since the disc test never depended on exclusions.
+  // The active set is the base run's, filtered through this replay's
+  // exclusion while loading — identical to rebuilding it, since the disc
+  // test never depended on exclusions.
   propagate(
       scratch, tube, volume_cells, rng, first_loop,
-      [&](common::SliceIdx si) { load_active_set(attr, scratch, si.value()); },
-      [](common::SliceIdx) {},
-      [&](std::size_t, const dynamics::VehicleState& ns, common::SliceIdx si) {
-        return test(ns, si);
-      },
+      [&](common::SliceIdx si) { load_active_set(attr, scratch, si.value()); }, test,
       [](int) {}, [](int, std::size_t) {});
 
   tube.volume = static_cast<double>(volume_cells);
   IPRISM_DCHECK(tube.volume >= 1.0, "ReachTube: non-empty tube must have positive volume");
   return tube;
-}
-
-ReachTube ReachTubeComputer::compute_counterfactual(
-    RiskSession& session, const roadmap::DrivableMap& map,
-    const dynamics::VehicleState& ego, std::span<const ObstacleTimeline> obstacles,
-    const AttributedTube& base, std::size_t exclude_index,
-    CounterfactualStats* stats) const {
-  return replay_counterfactual(session, map, ego, obstacles, base,
-                               /*exclude_all=*/false, exclude_index, stats);
 }
 
 ReachTube ReachTubeComputer::compute_unblocked(RiskSession& session,
@@ -802,8 +698,51 @@ ReachTube ReachTubeComputer::compute_unblocked(RiskSession& session,
                                                std::span<const ObstacleTimeline> obstacles,
                                                const AttributedTube& base,
                                                CounterfactualStats* stats) const {
-  return replay_counterfactual(session, map, ego, obstacles, base,
-                               /*exclude_all=*/true, /*exclude_index=*/0, stats);
+  const TubeAttribution& attr = base.attribution;
+  check_attribution(obstacles, attr);
+  CounterfactualStats local;
+  CounterfactualStats& st = stats != nullptr ? *stats : local;
+  st = CounterfactualStats{};
+
+  const std::uint32_t jstar = attr.first_actor_block;
+  if (jstar == TubeAttribution::kNever) {
+    // No actor rejected anything: lifting them all changes nothing.
+    st.free = true;
+    return base.tube;
+  }
+  st.replay_from = jstar;
+
+  ReachTube tube;
+  tube.slices.assign(static_cast<std::size_t>(slices_) + 1, {});
+
+  // A plain propagation from the base prefix with no active obstacles: each
+  // candidate meets only the map side of the survival test. No memo lookup —
+  // a plain map test measured faster than replaying the base record
+  // (DESIGN.md §12).
+  const detail::ScratchLease lease(session.state().scratch_pool, scratch_shape(0));
+  TubeScratch& scratch = *lease;
+  auto test = [&](const dynamics::VehicleState& ns, common::SliceIdx si) {
+    ++st.fresh_tests;
+    return survival_test(map, ns, {}, {}, si, /*max_hits=*/1).passed();
+  };
+
+  std::size_t volume_cells = 0;
+  common::Rng rng(params_.sample_seed);
+  int first_loop = 0;
+  if (jstar == 0) {
+    if (!test(ego, common::SliceIdx{0})) return tube;
+    tube.slices[0].push_back(ego);
+    volume_cells = 1;
+  } else {
+    first_loop = copy_prefix(base, jstar, tube, volume_cells, rng);
+  }
+  propagate(
+      scratch, tube, volume_cells, rng, first_loop, [](common::SliceIdx) {}, test,
+      [](int) {}, [](int, std::size_t) {});
+
+  tube.volume = static_cast<double>(volume_cells);
+  IPRISM_DCHECK(tube.volume >= 1.0, "ReachTube: non-empty tube must have positive volume");
+  return tube;
 }
 
 ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::DrivableMap& map,

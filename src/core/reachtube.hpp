@@ -21,6 +21,10 @@
 //
 // |T| — the tube's "volume" / state-space occupancy [45] — is the number of
 // distinct occupied (x, y) grid cells summed over time slices.
+//
+// Every tube steps its candidates in batches but tests them one at a time:
+// a candidate the dedup pass consults gets one survival test (footprint,
+// map, active obstacles), and the rest pay no geometry (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
@@ -39,6 +43,7 @@
 namespace iprism::core {
 
 namespace detail {
+struct ScratchShape;
 struct TubeScratch;
 }  // namespace detail
 
@@ -112,9 +117,10 @@ struct ReachTube {
 // |T^{-i}| ≡ |T| without any re-expansion. Replay executes the exact
 // propagation loop, so results are bit-identical (contents, cardinalities,
 // SplitMix64 emission order — the §9 contract) to from-scratch
-// compute(..., exclude).
+// compute(..., exclude). |T^{∅}| reuses the base prefix the same way but
+// re-propagates plainly, with no obstacles and no memo.
 
-/// Classification of one recorded state_ok outcome.
+/// Classification of one survival-test outcome.
 enum class BlockerClass : std::uint8_t {
   kPassed = 0,  ///< state survived every test
   kOffMap = 1,  ///< footprint left the drivable area; no actor removal rescues it
@@ -130,7 +136,7 @@ struct BlockRecord {
   BlockerClass cls = BlockerClass::kPassed;
 };
 
-/// Per-slice memo of every state_ok outcome of an attributed propagation.
+/// Per-slice memo of every survival-test outcome of an attributed propagation.
 /// Flat containers only (§9): records live in a dense vector; `by_state`
 /// maps a SplitMix64 hash of the state bits to the first record with that
 /// hash (replay verifies full state equality and falls back to geometry on
@@ -156,7 +162,7 @@ struct TubeAttribution {
   /// a candidate (kNever = rejected nothing alone → |T^{-i}| ≡ |T| free).
   std::vector<std::uint32_t> first_sole_block;
   /// Earliest slice with any actor-attributable rejection (kSole or kMulti);
-  /// |T^{∅}| replays from here (kNever = |T^{∅}| ≡ |T| free).
+  /// |T^{∅}| re-propagates from here (kNever = |T^{∅}| ≡ |T| free).
   std::uint32_t first_actor_block = kNever;
   std::size_t obstacle_count = 0;
   /// Total kSole + kMulti records — the blocked frontier the replays re-expand
@@ -191,8 +197,8 @@ struct AttributedTube {
 struct CounterfactualStats {
   bool free = false;            ///< no divergence: tube copied from the base
   std::uint32_t replay_from = 0;  ///< first re-propagated slice (when !free)
-  std::size_t memo_hits = 0;    ///< state_ok answers served from the record
-  std::size_t fresh_tests = 0;  ///< geometry tests actually run (the delta)
+  std::size_t memo_hits = 0;    ///< survival answers served from the record
+  std::size_t fresh_tests = 0;  ///< survival tests actually run (the delta)
 };
 
 class ReachTubeComputer {
@@ -254,8 +260,12 @@ class ReachTubeComputer {
                                    const AttributedTube& base, std::size_t exclude_index,
                                    CounterfactualStats* stats = nullptr) const;
 
-  /// |T^{∅}| by replay with *all* blockers lifted. Bit-identical to
-  /// compute(session, map, ego, {}) — an empty obstacles span.
+  /// |T^{∅}| with *all* blockers lifted. Bit-identical to
+  /// compute(session, map, ego, {}) — an empty obstacles span. Free (the
+  /// base tube, stats->free) when nothing was actor-blocked; otherwise the
+  /// base prefix before `first_actor_block` is copied and the rest
+  /// propagates with no obstacles. Every candidate is a fresh map test
+  /// (stats->fresh_tests); the memo is not consulted (memo_hits = 0).
   ReachTube compute_unblocked(RiskSession& session, const roadmap::DrivableMap& map,
                               const dynamics::VehicleState& ego,
                               std::span<const ObstacleTimeline> obstacles,
@@ -267,40 +277,28 @@ class ReachTubeComputer {
   /// Shared propagation loop: runs slice loops [first_loop, slice_count)
   /// given tube.slices[first_loop] (and everything before it) already
   /// populated. The loop is staged (DESIGN.md §13): parent×control pairs are
-  /// queued into structure-of-arrays lane buffers, batch-stepped and
-  /// batch-analyzed a block at a time, and then consumed by one sequential
-  /// decision pass that replicates the candidate order — and therefore the
-  /// dedup/cap/RNG semantics — of the historical generate-then-test loop
-  /// exactly. The caller supplies three policy hooks:
+  /// queued into structure-of-arrays lane buffers, batch-stepped a block at a
+  /// time, and then consumed by one sequential decision pass that replicates
+  /// the candidate order — and therefore the dedup/cap/RNG semantics — of the
+  /// historical generate-then-test loop exactly. The caller supplies the
+  /// policy hooks:
   ///
   ///   activate(slice)        — fill scratch.active for the slice;
-  ///   analyze(slice)         — batched geometry over the pending lane block
-  ///                            (no-op for memoized replays);
-  ///   consult(lane, ns, slice) — "does this candidate survive", reading the
-  ///                            analyzed lane outcomes (or a memo).
+  ///   consult(ns, slice)     — "does this candidate survive": the survival
+  ///                            test (or a memo answer), run only on the
+  ///                            candidates the decision pass consults.
   ///
   /// `on_loop_begin(j)` / `on_slice_done(j, volume)` are the attribution
   /// recorder's hooks; the plain and replay paths pass no-ops that inline
   /// away. Every caller — plain, attributed, replay — funnels through this
   /// one loop, which is the §12 bit-identity argument: a replay differs from
-  /// from-scratch only in where state_ok answers come from, and those
+  /// from-scratch only in where survival answers come from, and those
   /// answers are proven equal case by case.
-  template <class Activate, class Analyze, class Consult, class OnLoopBegin,
-            class OnSliceDone>
+  template <class Activate, class Consult, class OnLoopBegin, class OnSliceDone>
   void propagate(detail::TubeScratch& scratch, ReachTube& tube,
                  std::size_t& volume_cells, common::Rng& rng, int first_loop,
-                 Activate&& activate, Analyze&& analyze, Consult&& consult,
-                 OnLoopBegin&& on_loop_begin, OnSliceDone&& on_slice_done) const;
-
-  /// Stages (2)–(4) over the pending lane block: batch footprint axes and
-  /// corner AABBs (geom/batch.hpp), then per active obstacle a vectorized
-  /// circumradius broad-phase cull followed by scalar narrow-phase SAT for
-  /// the survivors. Fills lanes.{ax,ay,lox,loy,hix,hiy,hits,first_hit};
-  /// per-lane hit counting saturates at `max_hits` (1 answers pass/fail,
-  /// 2 distinguishes kSole from kMulti).
-  void analyze_lanes(std::span<const ObstacleTimeline> obstacles,
-                     detail::TubeScratch& scratch, common::SliceIdx slice,
-                     int max_hits) const;
+                 Activate&& activate, Consult&& consult, OnLoopBegin&& on_loop_begin,
+                 OnSliceDone&& on_slice_done) const;
 
   /// Loads `scratch.active` for one slice from the attribution's precomputed
   /// per-slice sets, dropping indices flagged in `scratch.excluded`. Equal to
@@ -310,25 +308,22 @@ class ReachTubeComputer {
                        std::size_t slice) const;
 
   /// The scratch shape this computer's params demand: expected entries
-  /// (min(max_states_per_slice, 4096)), `obstacle_count` exclusion flags, and
-  /// lane buffers big enough that the per-slice flush loop never
-  /// reallocates (kLaneBlock plus one parent's worst-case control count).
-  /// Fed to detail::TubeScratch::reset by every scratch lease.
-  struct ScratchShape {
-    std::size_t expected = 0;
-    std::size_t obstacles = 0;
-    std::size_t lanes = 0;
-  };
-  ScratchShape scratch_shape(std::size_t obstacle_count) const;
+  /// (min(max_states_per_slice, 4096)), the dedup-off volume set (empty when
+  /// dedup is on), `obstacle_count` exclusion flags, and lane buffers big
+  /// enough that the per-slice flush loop never reallocates (kLaneBlock plus
+  /// one parent's worst-case control count). Every scratch lease takes it.
+  detail::ScratchShape scratch_shape(std::size_t obstacle_count) const;
 
-  /// Replay core shared by compute_counterfactual / compute_unblocked:
-  /// `exclude_index` is ignored when `exclude_all` is set.
-  ReachTube replay_counterfactual(RiskSession& session, const roadmap::DrivableMap& map,
-                                  const dynamics::VehicleState& ego,
-                                  std::span<const ObstacleTimeline> obstacles,
-                                  const AttributedTube& base, bool exclude_all,
-                                  std::size_t exclude_index,
-                                  CounterfactualStats* stats) const;
+  /// Fail-fast check that `attr` came from compute_attributed over this
+  /// obstacle set and these params.
+  void check_attribution(std::span<const ObstacleTimeline> obstacles,
+                         const TubeAttribution& attr) const;
+
+  /// Starts a re-propagation that diverges from `base` at slice `jstar`
+  /// (>= 1): copies slices [0, jstar) and restores the volume and RNG
+  /// snapshots. Returns the first slice loop to run.
+  int copy_prefix(const AttributedTube& base, std::uint32_t jstar, ReachTube& tube,
+                  std::size_t& volume_cells, common::Rng& rng) const;
 
   /// Rebuilds `scratch.active` for one slice: obstacles whose footprint disc
   /// cannot touch the seed's conservative reachable disc — or whose index is
@@ -342,24 +337,31 @@ class ReachTubeComputer {
   /// (a NaN footprint intersects nothing and would silently vanish).
   void check_timelines(std::span<const ObstacleTimeline> obstacles) const;
 
-  /// Collision/off-map test against the slice's *active* obstacle subset
-  /// (`active` holds indices into `obstacles`; the caller filters once per
-  /// slice against a conservative reachable-disc bound, so the innermost
-  /// loop only visits obstacles that could possibly intersect). The scalar
-  /// twin of analyze_lanes + the plain consult hook, kept for compute()'s
-  /// seed test and the replay's memo-miss test: routing the memo misses
-  /// through batched lane analysis instead was measured slower — in
-  /// interleaved release-build A/B runs of the e2e dense_blockers workload it
-  /// lost 12 of 14 pairs, tick_p50_ms 8–9% and tick_p99_ms 11–22% worse at
-  /// identical output digests.
-  bool state_ok(const roadmap::DrivableMap& map, const dynamics::VehicleState& s,
-                std::span<const ObstacleTimeline> obstacles,
-                std::span<const std::uint32_t> active, common::SliceIdx slice) const;
+  /// Outcome of one survival test: the class and, for kSole, the obstacle
+  /// index that alone rejected the candidate.
+  struct Verdict {
+    BlockerClass cls = BlockerClass::kPassed;
+    std::uint32_t sole_blocker = 0;
+
+    bool passed() const { return cls == BlockerClass::kPassed; }
+  };
+
+  /// The one survival test of every tube: the candidate's footprint, then
+  /// the map test (off-map wins outright), then the slice's *active*
+  /// obstacles (indices into `obstacles`, pre-filtered per slice against a
+  /// conservative reachable disc) in index order — circumradius pretest,
+  /// then SAT. Hits are counted up to `max_hits`: 1 answers pass/fail and
+  /// stops at the first hit (reported as kSole); 2 separates kSole from
+  /// kMulti for the attribution record.
+  Verdict survival_test(const roadmap::DrivableMap& map, const dynamics::VehicleState& s,
+                        std::span<const ObstacleTimeline> obstacles,
+                        std::span<const std::uint32_t> active, common::SliceIdx slice,
+                        int max_hits) const;
 
   ReachTubeParams params_;
   dynamics::BicycleModel model_;
   int slices_ = 0;
-  double ego_circumradius_ = 0.0;  ///< constant of ego_dims, hoisted out of state_ok
+  double ego_circumradius_ = 0.0;  ///< constant of ego_dims, hoisted out of survival_test
   std::vector<dynamics::Control> boundary_set_;
   /// std::tan(boundary_set_[i].steer), hoisted out of the slice loop — the
   /// batch step kernel takes tan(phi) precomputed (same bits: same libm call

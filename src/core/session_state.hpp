@@ -22,12 +22,24 @@ namespace iprism::core::detail {
 
 /// Lane-block size for the staged propagation (DESIGN.md §13): parent×control
 /// pairs are queued into structure-of-arrays buffers until at least this many
-/// lanes are pending, then batch-stepped, batch-analyzed, and consumed by one
-/// sequential decision pass. The value trades cache residency of the lane
-/// buffers against amortizing per-block fixed costs; results are independent
-/// of it — every kernel is a pure per-lane computation and the decision pass
+/// lanes are pending, then batch-stepped and consumed by one sequential
+/// decision pass. The value trades cache residency of the lane buffers
+/// against amortizing per-block fixed costs; results are independent of it —
+/// the step kernel is a pure per-lane computation and the decision pass
 /// preserves candidate order.
 constexpr std::size_t kLaneBlock = 1024;
+
+/// What one propagation needs reserved: `expected` entries for the per-slice
+/// cell grid, candidates and emission keys; `occupied` entries for the
+/// dedup-off volume set (zero when dedup is on — the set is never inserted
+/// into then, and an empty table costs nothing to clear per slice);
+/// `obstacles` exclusion flags; `lanes` lane-buffer capacity.
+struct ScratchShape {
+  std::size_t expected = 0;
+  std::size_t occupied = 0;
+  std::size_t obstacles = 0;
+  std::size_t lanes = 0;
+};
 
 /// Per-(x, y)-cell representative bookkeeping: the four extreme states
 /// (min/max speed, min/max heading) that determine the cell's future
@@ -64,34 +76,24 @@ struct TubeScratch {
 
   /// Structure-of-arrays lane buffers for the staged propagation (§13). A
   /// "lane" is one pending parent×control pair; `count` lanes are queued,
-  /// then the whole block runs through stages 1–4 before the decision pass
+  /// then the whole block is stepped and keyed before the decision pass
   /// consumes it. Every array is sized once to the scratch's lane capacity
   /// (kLaneBlock plus one parent's worst-case control count, so the flush
   /// threshold can never overflow a block), keeping the slice loop free of
   /// lane-buffer allocations.
   struct Lanes {
     std::size_t count = 0;
-    // Stage-0 inputs, queued parent-major in exact scalar candidate order.
+    // Inputs, queued parent-major in exact scalar candidate order.
     std::vector<double> px, py, ph, pv, accel, tan_steer;
-    // Stage-1 outputs: batch-stepped successor states and their cell keys.
+    // Batch-stepped successor states and their cell keys.
     std::vector<double> nx, ny, nh, nv;
     std::vector<std::uint64_t> key;
-    // Stage-2/3 outputs: footprint long axis, corner AABB, broad-phase mask.
-    std::vector<double> ax, ay, lo_x, lo_y, hi_x, hi_y;
-    std::vector<unsigned char> broad;
-    // Stage-4 outputs: saturating hit count and the first hitting obstacle.
-    std::vector<std::uint8_t> hits;
-    std::vector<std::uint32_t> first_hit;
 
     void allocate(std::size_t cap) {
-      for (auto* v : {&px, &py, &ph, &pv, &accel, &tan_steer, &nx, &ny, &nh, &nv, &ax,
-                      &ay, &lo_x, &lo_y, &hi_x, &hi_y}) {
+      for (auto* v : {&px, &py, &ph, &pv, &accel, &tan_steer, &nx, &ny, &nh, &nv}) {
         v->resize(cap);
       }
       key.resize(cap);
-      broad.resize(cap);
-      hits.resize(cap);
-      first_hit.resize(cap);
     }
 
     void push(const dynamics::VehicleState& s, double a, double tan_phi) {
@@ -111,19 +113,19 @@ struct TubeScratch {
   /// monotone: reservations never shrink, vector fills stay within retained
   /// capacity, and FlatHashGrid::clear keeps its table — so on a warm scratch
   /// of the same shape this performs zero allocations.
-  void reset(std::size_t expected, std::size_t obstacle_count, std::size_t lane_capacity) {
-    cells.reserve(expected);
+  void reset(const ScratchShape& shape) {
+    cells.reserve(shape.expected);
     cells.clear();
-    occupied.reserve(expected);
+    occupied.reserve(shape.occupied);
     occupied.clear();
-    candidates.reserve(expected);
+    candidates.reserve(shape.expected);
     candidates.clear();
-    kept.reserve(expected);
+    kept.reserve(shape.expected);
     kept.clear();
-    active.reserve(obstacle_count);
+    active.reserve(shape.obstacles);
     active.clear();
-    excluded.assign(obstacle_count, 0);
-    if (lanes.key.size() < lane_capacity) lanes.allocate(lane_capacity);
+    excluded.assign(shape.obstacles, 0);
+    if (lanes.key.size() < shape.lanes) lanes.allocate(shape.lanes);
     lanes.count = 0;
   }
 
@@ -164,11 +166,10 @@ class ScratchPool {
 /// contents never leak between propagations.
 class ScratchLease {
  public:
-  ScratchLease(ScratchPool& pool, std::size_t expected, std::size_t obstacle_count,
-               std::size_t lane_capacity)
+  ScratchLease(ScratchPool& pool, const ScratchShape& shape)
       : pool_(pool), scratch_(pool.acquire()) {
     if (scratch_ == nullptr) scratch_ = std::make_unique<TubeScratch>();
-    scratch_->reset(expected, obstacle_count, lane_capacity);
+    scratch_->reset(shape);
   }
 
   ~ScratchLease() { pool_.release(std::move(scratch_)); }

@@ -29,6 +29,16 @@ namespace {
 
 double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 
+/// STI_combined (Eq. 5) from |T| and |T^{∅}|. With no escape routes even
+/// without actors (ego off the drivable area) the ratio is undefined; report
+/// zero rather than dividing by zero.
+double combined_sti(double volume_all, double volume_empty) {
+  IPRISM_DCHECK(volume_all >= 0.0 && volume_empty >= 0.0,
+                "STI: tube volumes must be non-negative");
+  if (volume_empty <= 0.0) return 0.0;
+  return clamp01((volume_empty - volume_all) / volume_empty);
+}
+
 /// Replays exclude counterfactual actors by obstacle *index*; Eq. 4's
 /// "actor i removed" excludes by ActorId, which removes every timeline
 /// carrying that id. The two agree exactly when no valid id repeats — the
@@ -45,52 +55,79 @@ bool has_duplicate_valid_ids(std::span<const ActorForecast> forecasts) {
   return std::adjacent_find(ids.begin(), ids.end()) != ids.end();
 }
 
+/// |T^{∅}|: the base volume when nothing was actor-blocked (no tube copy),
+/// else the obstacle-free propagation from the base prefix.
+double unblocked_volume(const ReachTubeComputer& tube, RiskSession& session,
+                        const roadmap::DrivableMap& map, const dynamics::VehicleState& ego,
+                        std::span<const ObstacleTimeline> obstacles,
+                        const AttributedTube& base) {
+  if (base.attribution.first_actor_block == TubeAttribution::kNever) {
+    return base.tube.volume;
+  }
+  CounterfactualStats st;
+  const double volume = tube.compute_unblocked(session, map, ego, obstacles, base, &st).volume;
+  IPRISM_COUNT_ADD("sti.cf_delta_states", st.fresh_tests);
+  return volume;
+}
+
 }  // namespace
+
+double StiWave1::combined() const { return combined_sti(base.tube.volume, volume_empty); }
 
 StiResult StiCalculator::compute(RiskSession& session, const roadmap::DrivableMap& map,
                                  const dynamics::VehicleState& ego, common::Seconds t0,
                                  std::span<const ActorForecast> forecasts) const {
   const auto obstacles = tube_.sample_obstacles(forecasts, t0);
-
-  StiResult out;
   // Wave 1: one attributed propagation — |T| plus the blocked-by record
-  // every derived tube replays from (DESIGN.md §12).
+  // every derived tube starts from (DESIGN.md §12). |T^{∅}| joins the
+  // wave-2 fan-out as task 0.
   AttributedTube base;
   {
     IPRISM_SCOPED_TIMER("sti.wave1", "sti");
     base = tube_.compute_attributed(session, map, ego, obstacles);
   }
+  return fan_out(session, map, ego, forecasts, obstacles, base, std::nullopt);
+}
+
+StiResult StiCalculator::attribute(RiskSession& session, const roadmap::DrivableMap& map,
+                                   const dynamics::VehicleState& ego,
+                                   std::span<const ActorForecast> forecasts,
+                                   const StiWave1& wave) const {
+  return fan_out(session, map, ego, forecasts, wave.obstacles, wave.base, wave.volume_empty);
+}
+
+StiResult StiCalculator::fan_out(RiskSession& session, const roadmap::DrivableMap& map,
+                                 const dynamics::VehicleState& ego,
+                                 std::span<const ActorForecast> forecasts,
+                                 std::span<const ObstacleTimeline> obstacles,
+                                 const AttributedTube& base,
+                                 std::optional<double> volume_empty) const {
+  StiResult out;
   out.volume_all = base.tube.volume;
 
   const bool dup_ids = has_duplicate_valid_ids(forecasts);
 
-  // Wave 2: |T^{∅}| and the N counterfactuals T^{/i} (Eq. 4), all derived
-  // from the shared base and fanned across the pool. Free tubes (actor
-  // rejected nothing) return the base volume without touching geometry;
-  // replays read the base attribution — including its precomputed
-  // per-slice active obstacle sets — as immutable shared state, so no
-  // replay re-derives active sets. Per-task work is uneven, but the
-  // pool's one-task-per-index submission already load-balances at the
-  // finest possible grain. Aggregation is by index, so results are
-  // bit-identical to the serial loop. Every task leases its own scratch
-  // from the one session — the lease pool is mutex-guarded exactly so a
-  // single session can serve its own fan-out.
+  // Wave 2: |T^{∅}| (unless wave 1 already holds it) and the N
+  // counterfactuals T^{/i} (Eq. 4), all derived from the shared base and
+  // fanned across the pool. Free tubes (actor rejected nothing) return the
+  // base volume without touching geometry; replays read the base
+  // attribution — including its precomputed per-slice active obstacle sets
+  // — as immutable shared state, so no replay re-derives active sets.
+  // Per-task work is uneven, but the pool's one-task-per-index submission
+  // already load-balances at the finest possible grain. Aggregation is by
+  // index, so results are bit-identical to the serial loop. Every task
+  // leases its own scratch from the one session — the lease pool is
+  // mutex-guarded exactly so a single session can serve its own fan-out.
   std::vector<double> vol(forecasts.size() + 1, 0.0);
+  const std::size_t first = volume_empty ? 1 : 0;
+  if (volume_empty) vol[0] = *volume_empty;
   {
     IPRISM_SCOPED_TIMER("sti.wave2", "sti");
     IPRISM_COUNT_ADD("sti.counterfactuals", forecasts.size());
-    common::parallel_for_each(pool_, forecasts.size() + 1, [&](std::size_t k) {
+    common::parallel_for_each(pool_, vol.size() - first, [&](std::size_t task) {
+      const std::size_t k = task + first;
       if (k == 0) {
-        // |T^{∅}|: every blocker lifted. Identical to a propagation against
-        // an empty obstacles span (active-set is empty either way).
-        if (base.attribution.first_actor_block == TubeAttribution::kNever) {
-          vol[0] = base.tube.volume;
-          return;
-        }
-        IPRISM_SCOPED_TIMER("sti.counterfactual.delta", "sti");
-        CounterfactualStats st;
-        vol[0] = tube_.compute_unblocked(session, map, ego, obstacles, base, &st).volume;
-        IPRISM_COUNT_ADD("sti.cf_delta_states", st.fresh_tests);
+        vol[0] = unblocked_volume(tube_, session, map, ego, obstacles, base);
         return;
       }
       const std::size_t i = k - 1;
@@ -120,19 +157,15 @@ StiResult StiCalculator::compute(RiskSession& session, const roadmap::DrivableMa
     });
   }
   out.volume_empty = vol[0];
-  IPRISM_DCHECK(out.volume_all >= 0.0 && out.volume_empty >= 0.0,
-                "STI: tube volumes must be non-negative");
+  out.combined = combined_sti(out.volume_all, out.volume_empty);
 
   if (out.volume_empty <= 0.0) {
-    // No escape routes even without actors (ego off the drivable area);
-    // actor-attributable risk is undefined — report zero rather than
-    // dividing by zero. (Every derived tube was free in this case: an
-    // off-map seed records no actor-attributable rejection.)
+    // Actor-attributable risk is undefined too; report zero. (Every derived
+    // tube was free in this case: an off-map seed records no
+    // actor-attributable rejection.)
     for (const auto& f : forecasts) out.per_actor.emplace_back(f.id, 0.0);
     return out;
   }
-
-  out.combined = clamp01((out.volume_empty - out.volume_all) / out.volume_empty);
 
   out.per_actor.reserve(forecasts.size());
   for (std::size_t i = 0; i < forecasts.size(); ++i) {
@@ -147,25 +180,23 @@ StiResult StiCalculator::compute(RiskSession& session, const roadmap::DrivableMa
   return out;
 }
 
+StiWave1 StiCalculator::wave1(RiskSession& session, const roadmap::DrivableMap& map,
+                              const dynamics::VehicleState& ego, common::Seconds t0,
+                              std::span<const ActorForecast> forecasts) const {
+  StiWave1 wave;
+  wave.obstacles = tube_.sample_obstacles(forecasts, t0);
+  IPRISM_SCOPED_TIMER("sti.combined", "sti");
+  // One attributed propagation plus |T^{∅}| from its prefix (free when
+  // nothing was actor-blocked).
+  wave.base = tube_.compute_attributed(session, map, ego, wave.obstacles);
+  wave.volume_empty = unblocked_volume(tube_, session, map, ego, wave.obstacles, wave.base);
+  return wave;
+}
+
 double StiCalculator::combined(RiskSession& session, const roadmap::DrivableMap& map,
                                const dynamics::VehicleState& ego, common::Seconds t0,
                                std::span<const ActorForecast> forecasts) const {
-  const auto obstacles = tube_.sample_obstacles(forecasts, t0);
-  IPRISM_SCOPED_TIMER("sti.combined", "sti");
-  // One attributed propagation; |T^{∅}| derives from it by replay (free when
-  // nothing was actor-blocked), so the two-tube wave is now one-plus-a-delta.
-  const AttributedTube base = tube_.compute_attributed(session, map, ego, obstacles);
-  const double vol_all = base.tube.volume;
-  double vol_empty = vol_all;
-  if (base.attribution.first_actor_block != TubeAttribution::kNever) {
-    CounterfactualStats st;
-    vol_empty = tube_.compute_unblocked(session, map, ego, obstacles, base, &st).volume;
-    IPRISM_COUNT_ADD("sti.cf_delta_states", st.fresh_tests);
-  }
-  IPRISM_DCHECK(vol_all >= 0.0 && vol_empty >= 0.0,
-                "STI: tube volumes must be non-negative");
-  if (vol_empty <= 0.0) return 0.0;
-  return clamp01((vol_empty - vol_all) / vol_empty);
+  return wave1(session, map, ego, t0, forecasts).combined();
 }
 
 double StiCalculator::combined(const roadmap::DrivableMap& map,

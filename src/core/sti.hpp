@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -35,16 +36,31 @@ struct StiResult {
   double max_actor_sti() const;
 };
 
+/// Wave 1 of an evaluation — everything combined() builds: the sampled
+/// obstacles, the attributed base tube |T|, and |T^{∅}|. The per-actor wave
+/// (StiCalculator::attribute) starts from it, so a caller that wants the
+/// combined value first and attribution only sometimes (the monitor) builds
+/// it once per tick.
+struct StiWave1 {
+  std::vector<ObstacleTimeline> obstacles;
+  AttributedTube base;
+  double volume_empty = 0.0;  ///< |T^{∅}|
+
+  /// STI_combined (Eq. 5); 0 when |T^{∅}| is empty.
+  double combined() const;
+};
+
 // The N+2 tubes an evaluation needs — |T|, |T^{∅}|, and one counterfactual
 // per actor — share almost their whole wavefront. The base |T| is propagated
-// once with blocked-by attribution and every other tube is derived from it
-// by memoized replay (DESIGN.md §12): actors that rejected nothing are free,
-// the rest re-run fresh geometry only on their delta wavefront. The N+1
-// derived tubes are independent const reads of the attributed base, so with
-// `num_threads > 0` they fan out over a common::ThreadPool and aggregate by
-// index — parallel results stay bit-identical to serial ones (DESIGN.md §8).
-// Results equal N+2 independent ReachTubeComputer::compute calls bit for bit
-// (the reference in tests/sti_reference.hpp, enforced by the identity suites).
+// once with blocked-by attribution; |T^{∅}| re-propagates from its prefix
+// with no obstacles, and each |T^{/i}| is derived from it by memoized replay
+// (DESIGN.md §12): actors that rejected nothing are free, the rest re-run
+// fresh geometry only on their delta wavefront. The N+1 derived tubes are
+// independent const reads of the attributed base, so with `num_threads > 0`
+// they fan out over a common::ThreadPool and aggregate by index — parallel
+// results stay bit-identical to serial ones (DESIGN.md §8). Results equal
+// N+2 independent ReachTubeComputer::compute calls bit for bit (the
+// reference in tests/sti_reference.hpp, enforced by the identity suites).
 class StiCalculator {
  public:
   /// An immutable engine after construction (DESIGN.md §14): every compute
@@ -72,7 +88,7 @@ class StiCalculator {
                     std::span<const ActorForecast> forecasts) const;
 
   /// Combined STI only (two tubes instead of N+2) — the quantity the SMC
-  /// reward needs at every training step.
+  /// reward needs at every training step. Equal to wave1(...).combined().
   double combined(RiskSession& session, const roadmap::DrivableMap& map,
                   const dynamics::VehicleState& ego, common::Seconds t0,
                   std::span<const ActorForecast> forecasts) const;
@@ -83,7 +99,30 @@ class StiCalculator {
   double combined(const roadmap::DrivableMap& map, const dynamics::VehicleState& ego,
                   common::Seconds t0, std::span<const ActorForecast> forecasts) const;
 
+  /// What combined() builds, kept for the per-actor wave: |T| with its
+  /// attribution record and |T^{∅}| (free when nothing was actor-blocked).
+  StiWave1 wave1(RiskSession& session, const roadmap::DrivableMap& map,
+                 const dynamics::VehicleState& ego, common::Seconds t0,
+                 std::span<const ActorForecast> forecasts) const;
+
+  /// The per-actor wave on top of `wave`, which must come from wave1() over
+  /// the same (map, ego, t0, forecasts): the N counterfactuals of Eq. 4,
+  /// fanned out like compute()'s. Bit-identical to compute() on the same
+  /// inputs, without rebuilding |T| or |T^{∅}|.
+  StiResult attribute(RiskSession& session, const roadmap::DrivableMap& map,
+                      const dynamics::VehicleState& ego,
+                      std::span<const ActorForecast> forecasts, const StiWave1& wave) const;
+
  private:
+  /// Wave 2: every derived tube of an evaluation — |T^{∅}| as task 0 unless
+  /// `volume_empty` is already known, then one counterfactual per actor —
+  /// fanned over the pool and assembled into the StiResult.
+  StiResult fan_out(RiskSession& session, const roadmap::DrivableMap& map,
+                    const dynamics::VehicleState& ego,
+                    std::span<const ActorForecast> forecasts,
+                    std::span<const ObstacleTimeline> obstacles, const AttributedTube& base,
+                    std::optional<double> volume_empty) const;
+
   ReachTubeComputer tube_;
   /// Null when params.num_threads == 0 (serial); otherwise the injected pool
   /// or &ThreadPool::shared(). Never owned: the shared pool outlives every

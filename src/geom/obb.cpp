@@ -17,19 +17,6 @@ OrientedBox::OrientedBox(const Vec2& center, double half_length, double half_wid
                "OrientedBox: extents must be non-negative");
 }
 
-OrientedBox OrientedBox::with_axis(const Vec2& center, double half_length,
-                                   double half_width, double heading, const Vec2& axis) {
-  IPRISM_DCHECK(axis == heading_vec(heading),
-                "OrientedBox::with_axis: axis must be heading_vec(heading) bit-exactly");
-  OrientedBox box;
-  box.center_ = center;
-  box.half_length_ = half_length;
-  box.half_width_ = half_width;
-  box.heading_ = heading;
-  box.axis_ = axis;
-  return box;
-}
-
 std::array<Vec2, 4> OrientedBox::corners() const {
   const Vec2 fwd = axis_long() * half_length_;
   const Vec2 left = axis_lat() * half_width_;
@@ -52,11 +39,14 @@ bool OrientedBox::contains(const Vec2& p) const {
 }
 
 bool OrientedBox::intersects(const OrientedBox& other) const {
-  const Vec2 d = other.center_ - center_;
   // Broad phase: circumscribed circles.
   const double r = circumradius() + other.circumradius();
-  if (d.norm_sq() > r * r) return false;
+  if ((other.center_ - center_).norm_sq() > r * r) return false;
+  return intersects_sat(other);
+}
 
+bool OrientedBox::intersects_sat(const OrientedBox& other) const {
+  const Vec2 d = other.center_ - center_;
   const std::array<Vec2, 4> axes = {axis_long(), axis_lat(), other.axis_long(),
                                     other.axis_lat()};
   auto projected_radius = [](const OrientedBox& b, const Vec2& axis) {

@@ -19,14 +19,6 @@ class OrientedBox {
   /// half_length/half_width must be non-negative (checked).
   OrientedBox(const Vec2& center, double half_length, double half_width, double heading);
 
-  /// Constructs with a caller-supplied unit axis, skipping the constructor's
-  /// cos/sin. `axis` must be heading_vec(heading) to the bit (DCHECKed) —
-  /// the batched geometry kernels (geom/batch.hpp) compute the axes once per
-  /// lane and rebuild boxes for the scalar narrow phase without re-deriving
-  /// them, so the box is indistinguishable from one built the normal way.
-  static OrientedBox with_axis(const Vec2& center, double half_length, double half_width,
-                               double heading, const Vec2& axis);
-
   const Vec2& center() const { return center_; }
   double half_length() const { return half_length_; }
   double half_width() const { return half_width_; }
@@ -46,9 +38,14 @@ class OrientedBox {
 
   bool contains(const Vec2& p) const;
 
-  /// Exact overlap test via the separating-axis theorem (4 candidate axes).
-  /// Touching boxes count as intersecting.
+  /// Exact overlap test: the circumscribed-circle pretest, then
+  /// intersects_sat(). Touching boxes count as intersecting.
   bool intersects(const OrientedBox& other) const;
+
+  /// The separating-axis half of intersects() (4 candidate axes), without
+  /// the circle pretest — for callers that already ran that pretest on the
+  /// same operands (the reach tube, with circumradii precomputed).
+  bool intersects_sat(const OrientedBox& other) const;
 
   /// Minimum distance from `p` to this box (0 if inside).
   double distance_to(const Vec2& p) const;

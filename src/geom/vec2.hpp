@@ -65,14 +65,15 @@ inline Vec2 lerp(const Vec2& a, const Vec2& b, double t) { return a + (b - a) * 
 /// Unit vector with the given heading.
 inline Vec2 heading_vec(double heading) { return {std::cos(heading), std::sin(heading)}; }
 
-/// Wraps an angle to (-pi, pi].
+/// Wraps an angle to [-pi, pi): pi itself maps to -pi. (The one double just
+/// below -pi rounds up to pi.)
 inline double wrap_angle(double a) {
   a = std::fmod(a + M_PI, 2.0 * M_PI);
   if (a < 0.0) a += 2.0 * M_PI;
   return a - M_PI;
 }
 
-/// Signed smallest rotation from `from` to `to`, in (-pi, pi].
+/// Signed smallest rotation from `from` to `to`, in [-pi, pi) as wrap_angle.
 inline double angle_diff(double to, double from) { return wrap_angle(to - from); }
 
 }  // namespace iprism::geom

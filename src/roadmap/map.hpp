@@ -50,21 +50,10 @@ class DrivableMap {
   virtual double lane_center_offset(int lane) const = 0;
 
   /// True if the whole footprint (a margin-shrunk version of the box) lies
-  /// on the drivable surface: the box's pieces handed to contains_box_geom,
-  /// so the scalar and batched callers share one predicate by construction.
-  bool contains_box(const geom::OrientedBox& box, double margin = 0.0) const {
-    return contains_box_geom(box.center(), box.half_length(), box.half_width(),
-                             box.axis_long(), box.aabb(), margin);
-  }
-
-  /// The map-containment predicate, taking the footprint pieces the batched
-  /// reach-tube kernels (geom/batch.hpp) already hold in lane buffers —
-  /// centre, half extents, cached long axis, and the corner AABB. The
-  /// default checks the four corners pulled in by `margin` metres toward the
-  /// centre; analytic maps may override with an exact band test.
-  virtual bool contains_box_geom(const geom::Vec2& center, double half_length,
-                                 double half_width, const geom::Vec2& axis_long,
-                                 const geom::Aabb& aabb, double margin) const;
+  /// on the drivable surface. The default checks the four corners pulled in
+  /// by `margin` metres toward the centre; analytic maps may override with
+  /// an exact band test.
+  virtual bool contains_box(const geom::OrientedBox& box, double margin = 0.0) const;
 };
 
 using MapPtr = std::shared_ptr<const DrivableMap>;

@@ -8,12 +8,11 @@ namespace iprism::roadmap {
 
 double DrivableMap::curvature_at(double /*s*/, double /*d*/) const { return 0.0; }
 
-bool DrivableMap::contains_box_geom(const geom::Vec2& center, double half_length,
-                                    double half_width, const geom::Vec2& axis_long,
-                                    const geom::Aabb& /*aabb*/, double margin) const {
+bool DrivableMap::contains_box(const geom::OrientedBox& box, double margin) const {
   // The four margin-shrunk extent corners must lie on the drivable surface.
-  const geom::Vec2 fwd = axis_long * std::max(half_length - margin, 0.0);
-  const geom::Vec2 left = axis_long.perp() * std::max(half_width - margin, 0.0);
+  const geom::Vec2& center = box.center();
+  const geom::Vec2 fwd = box.axis_long() * std::max(box.half_length() - margin, 0.0);
+  const geom::Vec2 left = box.axis_lat() * std::max(box.half_width() - margin, 0.0);
   return contains(center + fwd + left) && contains(center + fwd - left) &&
          contains(center - fwd + left) && contains(center - fwd - left);
 }
@@ -40,12 +39,10 @@ double StraightRoad::lane_center_offset(int lane) const {
   return (lane + 0.5) * lane_width_;
 }
 
-bool StraightRoad::contains_box_geom(const geom::Vec2& center, double /*half_length*/,
-                                     double /*half_width*/, const geom::Vec2& /*axis_long*/,
-                                     const geom::Aabb& aabb, double margin) const {
+bool StraightRoad::contains_box(const geom::OrientedBox& box, double margin) const {
   // Exact: the box corners define the extremes on an axis-aligned band.
-  const geom::Aabb bb = aabb.inflated(-margin);
-  if (bb.empty()) return contains(center);
+  const geom::Aabb bb = box.aabb().inflated(-margin);
+  if (bb.empty()) return contains(box.center());
   return bb.lo.x >= 0.0 && bb.hi.x <= length_ && bb.lo.y >= 0.0 &&
          bb.hi.y <= lanes_ * lane_width_;
 }

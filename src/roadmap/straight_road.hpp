@@ -26,9 +26,7 @@ class StraightRoad final : public DrivableMap {
 
   double lane_center_offset(int lane) const override;
 
-  bool contains_box_geom(const geom::Vec2& center, double half_length, double half_width,
-                         const geom::Vec2& axis_long, const geom::Aabb& aabb,
-                         double margin) const override;
+  bool contains_box(const geom::OrientedBox& box, double margin) const override;
 
  private:
   int lanes_;

@@ -1,13 +1,13 @@
-// GeomKernelIdentity (DESIGN.md §13): the staged batch kernels that power the
-// reach-tube propagation — SoA bicycle step, footprint axes/corners/AABBs,
-// circumradius broad-phase cull — must be **bit-identical** to the scalar
-// expressions they replace, and the whole batched pipeline must reproduce a
-// scalar generate-then-test reference propagation exactly. The reference here
-// is a test-local replica of the historical scalar loop built on public API
-// only (BicycleModel::step, dynamics::footprint, DrivableMap::contains_box,
-// OrientedBox::intersects, FlatHashGrid, splitmix64_mix), so the suite proves
-// batch ≡ scalar end to end — and, run under both IPRISM_ENABLE_SIMD settings
-// (the simd-off CI leg), that vectorized and unvectorized kernel builds agree
+// GeomKernelIdentity (DESIGN.md §13): the staged propagation — the SoA
+// bicycle step kernel plus one survival test per consulted candidate — must
+// be **bit-identical** to the scalar expressions it replaces, and the whole
+// pipeline must reproduce a scalar generate-then-test reference propagation
+// exactly. The reference here is a test-local replica of the historical
+// interleaved loop built on public API only (BicycleModel::step,
+// dynamics::footprint, DrivableMap::contains_box, OrientedBox::intersects,
+// FlatHashGrid, splitmix64_mix), so the suite proves staged ≡ scalar end to
+// end — and, run under both IPRISM_ENABLE_SIMD settings (the simd-off CI
+// leg), that vectorized and unvectorized step-kernel builds agree
 // transitively. Runs in the asan-ubsan and tsan CI jobs.
 #include <gtest/gtest.h>
 
@@ -28,11 +28,8 @@
 #include "dynamics/state.hpp"
 #include "dynamics/step_batch.hpp"
 #include "dynamics/trajectory.hpp"
-#include "geom/batch.hpp"
 #include "geom/obb.hpp"
 #include "geom/vec2.hpp"
-#include "roadmap/ring_road.hpp"
-#include "roadmap/straight_road.hpp"
 #include "scenario/factory.hpp"
 #include "scenario/spec.hpp"
 #include "sim/world.hpp"
@@ -95,107 +92,6 @@ TEST(GeomKernelIdentity, StepBatchMatchesScalarModel) {
     EXPECT_EQ(ny[i], ref.y) << "lane " << i;
     EXPECT_EQ(nh[i], ref.heading) << "lane " << i;
     EXPECT_EQ(nv[i], ref.speed) << "lane " << i;
-  }
-}
-
-TEST(GeomKernelIdentity, FootprintKernelsMatchOrientedBox) {
-  const double hl = 4.5 / 2.0;
-  const double hw = 2.0 / 2.0;
-  const LaneSoa in = random_lanes(257, 22);
-  const std::size_t n = in.x.size();
-
-  std::vector<double> ax(n), ay(n);
-  geom::footprint_axes(n, in.heading.data(), ax.data(), ay.data());
-
-  std::vector<double> c0x(n), c1x(n), c2x(n), c3x(n);
-  std::vector<double> c0y(n), c1y(n), c2y(n), c3y(n);
-  double* const corner_x[4] = {c0x.data(), c1x.data(), c2x.data(), c3x.data()};
-  double* const corner_y[4] = {c0y.data(), c1y.data(), c2y.data(), c3y.data()};
-  geom::footprint_corners(n, in.x.data(), in.y.data(), ax.data(), ay.data(), hl, hw,
-                          corner_x, corner_y);
-
-  std::vector<double> lo_x(n), lo_y(n), hi_x(n), hi_y(n);
-  geom::footprint_aabbs(n, in.x.data(), in.y.data(), ax.data(), ay.data(), hl, hw,
-                        lo_x.data(), lo_y.data(), hi_x.data(), hi_y.data());
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const dynamics::VehicleState s{in.x[i], in.y[i], in.heading[i], in.speed[i]};
-    const geom::OrientedBox box = dynamics::footprint(s, dynamics::Dimensions{4.5, 2.0});
-    EXPECT_EQ(ax[i], box.axis_long().x) << "lane " << i;
-    EXPECT_EQ(ay[i], box.axis_long().y) << "lane " << i;
-    const auto corners = box.corners();
-    for (std::size_t k = 0; k < 4; ++k) {
-      EXPECT_EQ(corner_x[k][i], corners[k].x) << "lane " << i << " corner " << k;
-      EXPECT_EQ(corner_y[k][i], corners[k].y) << "lane " << i << " corner " << k;
-    }
-    const geom::Aabb bb = box.aabb();
-    EXPECT_EQ(lo_x[i], bb.lo.x) << "lane " << i;
-    EXPECT_EQ(lo_y[i], bb.lo.y) << "lane " << i;
-    EXPECT_EQ(hi_x[i], bb.hi.x) << "lane " << i;
-    EXPECT_EQ(hi_y[i], bb.hi.y) << "lane " << i;
-  }
-}
-
-TEST(GeomKernelIdentity, BroadPhaseCullMatchesScalarPredicate) {
-  const LaneSoa in = random_lanes(511, 33);
-  const std::size_t n = in.x.size();
-  const geom::OrientedBox obstacle({120.0, 5.0}, 2.25, 1.0, 0.2);
-  const double r = std::hypot(4.5 / 2.0, 2.0 / 2.0) + obstacle.circumradius();
-
-  std::vector<unsigned char> mask(n);
-  const std::size_t survivors = geom::broad_phase_cull(
-      n, in.x.data(), in.y.data(), obstacle.center().x, obstacle.center().y, r * r,
-      mask.data());
-
-  std::size_t expected_survivors = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    // The scalar loop *skips* when norm_sq > r²; the mask is the complement.
-    const geom::Vec2 center{in.x[i], in.y[i]};
-    const bool skip = (obstacle.center() - center).norm_sq() > r * r;
-    EXPECT_EQ(mask[i], skip ? 0 : 1) << "lane " << i;
-    if (!skip) ++expected_survivors;
-  }
-  EXPECT_EQ(survivors, expected_survivors);
-}
-
-TEST(GeomKernelIdentity, WithAxisMatchesConstructor) {
-  const LaneSoa in = random_lanes(128, 44);
-  for (std::size_t i = 0; i < in.x.size(); ++i) {
-    const geom::Vec2 center{in.x[i], in.y[i]};
-    const geom::OrientedBox ref(center, 2.25, 1.0, in.heading[i]);
-    const geom::OrientedBox fast = geom::OrientedBox::with_axis(
-        center, 2.25, 1.0, in.heading[i], geom::heading_vec(in.heading[i]));
-    EXPECT_EQ(fast.center().x, ref.center().x);
-    EXPECT_EQ(fast.center().y, ref.center().y);
-    EXPECT_EQ(fast.heading(), ref.heading());
-    EXPECT_EQ(fast.axis_long().x, ref.axis_long().x);
-    EXPECT_EQ(fast.axis_long().y, ref.axis_long().y);
-    const auto a = fast.corners();
-    const auto b = ref.corners();
-    for (std::size_t k = 0; k < 4; ++k) {
-      EXPECT_EQ(a[k].x, b[k].x);
-      EXPECT_EQ(a[k].y, b[k].y);
-    }
-  }
-}
-
-TEST(GeomKernelIdentity, ContainsBoxGeomAgreesWithContainsBox) {
-  const roadmap::StraightRoad straight(3, 3.5, 200.0);
-  const roadmap::RingRoad ring(2, 3.5, 30.0);
-  const LaneSoa in = random_lanes(511, 55);
-  for (const roadmap::DrivableMap* map :
-       {static_cast<const roadmap::DrivableMap*>(&straight),
-        static_cast<const roadmap::DrivableMap*>(&ring)}) {
-    for (double margin : {0.0, 0.3, 5.0}) {
-      for (std::size_t i = 0; i < in.x.size(); ++i) {
-        const geom::Vec2 center{in.x[i], in.y[i]};
-        const geom::OrientedBox box(center, 2.25, 1.0, in.heading[i]);
-        EXPECT_EQ(map->contains_box(box, margin),
-                  map->contains_box_geom(center, box.half_length(), box.half_width(),
-                                         box.axis_long(), box.aabb(), margin))
-            << "lane " << i << " margin " << margin;
-      }
-    }
   }
 }
 
@@ -449,10 +345,11 @@ TEST(GeomKernelIdentity, FullTubeMatchesScalarReferenceAcrossTypologies) {
 }
 
 TEST(GeomKernelIdentity, AttributedAndReplayMatchScalarReference) {
-  // The attributed base propagation and the memoized counterfactual replays
-  // route through the same batch path; both must still land on the scalar
-  // reference bits (replays are checked against reference tubes with the
-  // excluded actor's timeline dropped).
+  // The attributed base propagation, the unblocked tube and the memoized
+  // counterfactual replays route through the same staged loop and survival
+  // test; all must still land on the scalar reference bits (replays are
+  // checked against reference tubes with the excluded actor's timeline
+  // dropped).
   const scenario::ScenarioFactory factory;
   const sim::World world = typology_world(factory, scenario::Typology::kLeadSlowdown);
   const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "common/telemetry.hpp"
 #include "roadmap/straight_road.hpp"
 
 namespace iprism::core {
@@ -91,6 +94,41 @@ TEST(RiskMonitor, EscalationTickCarriesAttribution) {
   ASSERT_GE(first.level, RiskLevel::kCaution);
   ASSERT_TRUE(first.riskiest_actor.has_value());
   EXPECT_GT(first.riskiest_sti, 0.1);
+}
+
+TEST(RiskMonitor, EscalationTickBuildsWaveOneOnce) {
+  // The escalating tick takes the per-actor wave on top of the wave 1 it
+  // already built for the combined STI: one attributed base propagation,
+  // not one for combined() and another for a full re-run.
+#if !IPRISM_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out: no reachtube.compute_attributed histogram";
+#else
+  const RiskMonitor monitor;
+  RiskSession session;
+  auto w = threat_world(6.0);
+  auto& registry = common::telemetry::MetricsRegistry::instance();
+  const auto attributed_runs = [&] {
+    const auto* h = registry.find_histogram("reachtube.compute_attributed");
+    return h != nullptr ? h->count() : std::uint64_t{0};
+  };
+
+  const std::uint64_t before = attributed_runs();
+  const auto a = monitor.update(session, w);
+  EXPECT_EQ(attributed_runs() - before, 1u);
+  ASSERT_GT(a.level, RiskLevel::kSafe);  // this tick escalated from kSafe
+
+  // The assessment is what a fresh-session full evaluation says.
+  const StiCalculator sti;
+  RiskSession fresh;
+  const auto forecasts = cvtr_forecasts(w, 3.0, 0.25);
+  const StiResult full =
+      sti.compute(fresh, w.map(), w.ego().state, common::Seconds{w.time()}, forecasts);
+  const auto riskiest = riskiest_actor_of(full);
+  ASSERT_TRUE(riskiest.has_value());
+  EXPECT_EQ(a.sti_combined, full.combined);
+  EXPECT_EQ(a.riskiest_actor, riskiest->first);
+  EXPECT_EQ(a.riskiest_sti, riskiest->second);
+#endif
 }
 
 TEST(RiskMonitor, AllZeroPerActorYieldsNoRiskiestActor) {

@@ -277,13 +277,20 @@ TEST(CounterfactualDeltaIdentity, TubesBitIdenticalToFromScratchAcrossTypologies
     expect_same_tube(rt.compute(session, world.map(), world.ego().state, obstacles),
                      base.tube);
 
-    // |T^{∅}| by replay vs the from-scratch no-obstacles tube.
+    // |T^{∅}| from the base prefix vs the from-scratch no-obstacles tube.
     core::CounterfactualStats empty_stats;
     expect_same_tube(
         rt.compute(session, world.map(), world.ego().state,
                    std::span<const core::ObstacleTimeline>{}),
         rt.compute_unblocked(session, world.map(), world.ego().state, obstacles, base,
                              &empty_stats));
+    // A plain propagation: every candidate is a fresh test, none a memo hit.
+    EXPECT_EQ(empty_stats.memo_hits, 0u);
+    if (empty_stats.free) {
+      EXPECT_EQ(empty_stats.fresh_tests, 0u);
+    } else {
+      EXPECT_GT(empty_stats.fresh_tests, 0u);
+    }
 
     // Every |T^{/i}| by replay vs from-scratch compute(..., exclude).
     for (std::size_t i = 0; i < forecasts.size(); ++i) {

@@ -65,8 +65,8 @@ class WrapAngleTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(WrapAngleTest, StaysInPrincipalRange) {
   const double w = wrap_angle(GetParam());
-  EXPECT_GT(w, -M_PI - 1e-12);
-  EXPECT_LE(w, M_PI + 1e-12);
+  EXPECT_GE(w, -M_PI);
+  EXPECT_LT(w, M_PI);
   // Wrapping preserves the angle modulo 2*pi.
   EXPECT_NEAR(std::cos(w), std::cos(GetParam()), 1e-9);
   EXPECT_NEAR(std::sin(w), std::sin(GetParam()), 1e-9);
@@ -75,6 +75,16 @@ TEST_P(WrapAngleTest, StaysInPrincipalRange) {
 INSTANTIATE_TEST_SUITE_P(Sweep, WrapAngleTest,
                          ::testing::Values(-10.0, -M_PI, -1.0, 0.0, 1.0, M_PI, 4.0, 10.0,
                                            100.0, -100.0));
+
+TEST(WrapAngle, BoundaryIsExactlyMinusPi) {
+  // The range is [-pi, pi): both boundaries land on -pi, bit for bit.
+  EXPECT_EQ(wrap_angle(M_PI), -M_PI);
+  EXPECT_EQ(wrap_angle(-M_PI), -M_PI);
+  EXPECT_EQ(wrap_angle(3.0 * M_PI), -M_PI);
+  EXPECT_EQ(angle_diff(M_PI, 0.0), -M_PI);
+  // The documented rounding exception: the double just below -pi wraps to pi.
+  EXPECT_EQ(wrap_angle(std::nextafter(-M_PI, -4.0)), M_PI);
+}
 
 TEST(AngleDiff, ShortestPath) {
   EXPECT_NEAR(angle_diff(0.1, -0.1), 0.2, 1e-12);

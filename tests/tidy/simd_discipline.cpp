@@ -3,7 +3,7 @@
 // tools/check_tidy_fixtures.sh asserts clang-tidy flags exactly the
 // `CHECK-FLAG` lines. The check confines vendor intrinsics headers,
 // vectorization-forcing pragmas, and per-function target attributes to the
-// batch kernel TUs (src/geom/batch*, src/dynamics/*_batch*) — this file is
+// batch kernel TUs (src/dynamics/*_batch*) — this file is
 // outside, so every use below must fire; the plain loop, the non-SIMD
 // pragma, and the unannotated function must not.
 

@@ -129,7 +129,7 @@ SimdDisciplineCheck::SimdDisciplineCheck(llvm::StringRef Name, ClangTidyContext 
     : ClangTidyCheck(Name, Context),
       AllowedFilesRegex(Options.get(
           "AllowedFilesRegex",
-          "/src/(geom/batch[^/]*|dynamics/[^/]*_batch[^/]*)\\.(hpp|cpp)$")),
+          "/src/dynamics/[^/]*_batch[^/]*\\.(hpp|cpp)$")),
       AllowedFiles(AllowedFilesRegex) {}
 
 void SimdDisciplineCheck::storeOptions(ClangTidyOptions::OptionMap &Opts) {

@@ -17,8 +17,7 @@
 //
 // Options:
 //   AllowedFilesRegex — files exempt from the ban (default: the batch
-//                       kernel TUs, src/geom/batch* and
-//                       src/dynamics/*_batch*).
+//                       kernel TUs, src/dynamics/*_batch*).
 #ifndef IPRISM_TIDY_PLUGIN_SIMD_DISCIPLINE_CHECK_H
 #define IPRISM_TIDY_PLUGIN_SIMD_DISCIPLINE_CHECK_H
 
