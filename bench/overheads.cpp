@@ -13,12 +13,6 @@
 //   ./overheads --require-release --benchmark_filter=BM_CounterfactualFanout
 //     --benchmark_out=BENCH_counterfactual_delta.json --benchmark_out_format=json
 //
-// The BM_GeomKernel family measures the batched step kernel of the staged
-// propagation (DESIGN.md §13) against the scalar per-lane model. Recorded as
-// BENCH_geom_kernel.json:
-//   ./overheads --require-release --benchmark_filter=BM_GeomKernel
-//     --benchmark_out=BENCH_geom_kernel.json --benchmark_out_format=json
-//
 // The tube and STI benchmarks build a fresh core::RiskSession inside the
 // timed loop: they time the cold call (scratch allocated and reserved per
 // iteration), which is what the recorded baselines hold.
@@ -32,9 +26,7 @@
 #include "bench_util.hpp"
 #include "core/pkl.hpp"
 #include "core/ttc.hpp"
-#include "dynamics/bicycle.hpp"
 #include "dynamics/cvtr.hpp"
-#include "dynamics/step_batch.hpp"
 #include "dynamics/trajectory.hpp"
 #include "smc/controller.hpp"
 #include "smc/features.hpp"
@@ -169,74 +161,6 @@ void BM_CounterfactualFanoutDelta(ubench::State& state) {
   }
 }
 UBENCH(BM_CounterfactualFanoutDelta)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
-
-// ---------------------------------------------------------------------------
-// BM_GeomKernel*: the batched step kernel of the tube propagation
-// (DESIGN.md §13) against the scalar per-lane model, at block sizes spanning
-// one parent's controls (16), a typical partial flush (256), and a multiple
-// of the kLaneBlock flush threshold (4096). Recorded as
-// BENCH_geom_kernel.json (command in the file header).
-
-/// SoA lane material for the step benchmarks (worst case: every lane a
-/// distinct state/control drawn across the tube's operating envelope).
-struct KernelLanes {
-  explicit KernelLanes(std::size_t n) {
-    common::Rng rng(17);
-    for (std::size_t i = 0; i < n; ++i) {
-      x.push_back(rng.uniform(-50.0, 400.0));
-      y.push_back(rng.uniform(-10.0, 20.0));
-      heading.push_back(rng.uniform(-3.1, 3.1));
-      speed.push_back(rng.uniform(0.0, 40.0));
-      accel.push_back(rng.uniform(-6.0, 3.0));
-      steer.push_back(rng.uniform(-0.35, 0.35));
-      tan_steer.push_back(std::tan(steer.back()));
-    }
-    nx.resize(n);
-    ny.resize(n);
-    nh.resize(n);
-    nv.resize(n);
-  }
-
-  std::vector<double> x, y, heading, speed, accel, steer, tan_steer;
-  std::vector<double> nx, ny, nh, nv;
-};
-
-void BM_GeomKernelStep(ubench::State& state) {
-  // SoA bicycle step over the whole block.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  KernelLanes lanes(n);
-  const dynamics::BicycleModel model;
-  for (auto _ : state) {
-    dynamics::step_batch(n,
-                         {lanes.x.data(), lanes.y.data(), lanes.heading.data(),
-                          lanes.speed.data(), lanes.accel.data(), lanes.tan_steer.data()},
-                         {lanes.nx.data(), lanes.ny.data(), lanes.nh.data(),
-                          lanes.nv.data()},
-                         0.25, model.wheelbase().value(), model.max_speed().value());
-    ubench::DoNotOptimize(lanes.nx.data());
-  }
-}
-UBENCH(BM_GeomKernelStep)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_GeomKernelStepScalar(ubench::State& state) {
-  // Scalar counterpart: one out-of-line model.step per lane.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  KernelLanes lanes(n);
-  const dynamics::BicycleModel model;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const dynamics::VehicleState ns =
-          model.step({lanes.x[i], lanes.y[i], lanes.heading[i], lanes.speed[i]},
-                     {lanes.accel[i], lanes.steer[i]}, common::Seconds{0.25});
-      lanes.nx[i] = ns.x;
-      lanes.ny[i] = ns.y;
-      lanes.nh[i] = ns.heading;
-      lanes.nv[i] = ns.speed;
-    }
-    ubench::DoNotOptimize(lanes.nx.data());
-  }
-}
-UBENCH(BM_GeomKernelStepScalar)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_CvtrForecasts(ubench::State& state) {
   auto& f = fixture();

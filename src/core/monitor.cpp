@@ -28,8 +28,8 @@ std::string_view risk_level_name(RiskLevel level) {
   return "unknown";
 }
 
-RiskMonitor::RiskMonitor(const RiskMonitorParams& params, common::ThreadPool* pool)
-    : params_(params), sti_(params.tube, pool) {
+RiskMonitor::RiskMonitor(const RiskMonitorParams& params)
+    : params_(params), sti_(params.tube) {
   IPRISM_CHECK(params.caution_threshold > 0.0 &&
                    params.critical_threshold > params.caution_threshold,
                "RiskMonitorParams: thresholds must satisfy 0 < caution < critical");

@@ -51,10 +51,7 @@ struct RiskMonitorParams {
 /// session (read RiskSession::level() / updates() for a stream's state).
 class RiskMonitor {
  public:
-  /// `pool` is forwarded to the STI engine: null = the process-wide
-  /// common::ThreadPool::shared() when `params.tube.num_threads > 0`.
-  explicit RiskMonitor(const RiskMonitorParams& params = {},
-                       common::ThreadPool* pool = nullptr);
+  explicit RiskMonitor(const RiskMonitorParams& params = {});
 
   struct Assessment {
     double sti_combined = 0.0;

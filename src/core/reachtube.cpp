@@ -9,7 +9,7 @@
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "core/session_state.hpp"
-#include "dynamics/step_batch.hpp"
+#include "dynamics/bicycle.hpp"
 
 namespace iprism::core {
 
@@ -71,6 +71,10 @@ void check_ego(const dynamics::VehicleState& ego) {
                "ReachTube: ego state must be finite");
 }
 
+/// Recorder hooks of the tubes that record no attribution.
+constexpr auto kNoLoopBegin = [](int, const common::Rng&) {};
+constexpr auto kNoSliceDone = [](int, std::size_t) {};
+
 }  // namespace
 
 void ObstacleTimeline::finalize() {
@@ -87,8 +91,6 @@ void ReachTubeComputer::validate(const ReachTubeParams& params) {
                "ReachTubeParams: dt and horizon must be finite and positive");
   IPRISM_CHECK(std::isfinite(params.cell_size) && params.cell_size > 0.0,
                "ReachTubeParams: cell_size must be finite and positive");
-  IPRISM_CHECK(std::isfinite(params.map_margin) && params.map_margin >= 0.0,
-               "ReachTubeParams: map_margin must be finite and non-negative");
   IPRISM_CHECK(std::isfinite(params.ego_dims.length) && std::isfinite(params.ego_dims.width) &&
                    params.ego_dims.length > 0.0 && params.ego_dims.width > 0.0,
                "ReachTubeParams: ego_dims length and width must be finite and positive");
@@ -159,7 +161,7 @@ ReachTubeComputer::Verdict ReachTubeComputer::survival_test(
   const std::size_t slice = slice_idx.value();
   const geom::OrientedBox ego_box = dynamics::footprint(s, params_.ego_dims);
   // Off-map wins outright: no actor removal rescues the candidate.
-  if (!map.contains_box(ego_box, params_.map_margin)) return {BlockerClass::kOffMap, 0};
+  if (!map.contains_box(ego_box, kMapMargin)) return {BlockerClass::kOffMap, 0};
   int hits = 0;
   std::uint32_t first = 0;
   for (const std::uint32_t oi : active) {
@@ -203,7 +205,7 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
   // left the map) are cached so the whole cell is skipped — optimization (1)
   // at cell granularity.
   for (int j = first_loop; j < slices_; ++j) {
-    on_loop_begin(j);
+    on_loop_begin(j, rng);
     const auto& current = tube.slices[static_cast<std::size_t>(j)];
     auto& next = tube.slices[static_cast<std::size_t>(j) + 1];
     scratch.next_slice();
@@ -378,6 +380,45 @@ void ReachTubeComputer::propagate(TubeScratch& scratch, ReachTube& tube,
   IPRISM_COUNT_ADD("reachtube.scratch_rehashes", scratch.cells.rehash_count());
 }
 
+template <class Activate, class Consult, class OnLoopBegin, class OnSliceDone>
+ReachTube ReachTubeComputer::drive(TubeScratch& scratch, const dynamics::VehicleState& ego,
+                                   const AttributedTube* base, std::uint32_t jstar,
+                                   Activate&& activate, Consult&& consult,
+                                   OnLoopBegin&& on_loop_begin,
+                                   OnSliceDone&& on_slice_done) const {
+  ReachTube tube;
+  tube.slices.assign(static_cast<std::size_t>(slices_) + 1, {});
+
+  std::size_t volume_cells = 0;
+  common::Rng rng(kSampleSeed);
+  int first_loop = 0;
+  if (jstar == 0) {
+    // Slice 0: the current ego state. If it already collides (or is
+    // off-map), every escape route is gone and the tube is empty.
+    activate(common::SliceIdx{0});
+    if (!consult(ego, common::SliceIdx{0})) return tube;
+    tube.slices[0].push_back(ego);
+    volume_cells = 1;  // the seed's own cell
+  } else {
+    // Slices before the divergence are bit-identical by induction: no
+    // survival outcome differs there, so the exact states (and the RNG
+    // stream) are the base run's — copy, don't recompute.
+    IPRISM_DCHECK(base != nullptr && jstar != TubeAttribution::kNever,
+                  "ReachTube: a re-propagation needs a base tube and a divergence slice");
+    const TubeAttribution& attr = base->attribution;
+    for (std::size_t k = 0; k < jstar; ++k) tube.slices[k] = base->tube.slices[k];
+    volume_cells = attr.volume_prefix[jstar - 1];
+    rng = attr.rng_at_loop[jstar - 1];
+    first_loop = static_cast<int>(jstar) - 1;
+  }
+  propagate(scratch, tube, volume_cells, rng, first_loop, activate, consult, on_loop_begin,
+            on_slice_done);
+
+  tube.volume = static_cast<double>(volume_cells);
+  IPRISM_DCHECK(tube.volume >= 1.0, "ReachTube: non-empty tube must have positive volume");
+  return tube;
+}
+
 void ReachTubeComputer::build_active_set(std::span<const ObstacleTimeline> obstacles,
                                          const dynamics::VehicleState& seed,
                                          TubeScratch& scratch,
@@ -462,9 +503,6 @@ ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::Drivab
   // untouched; counters accumulate in plain locals and flush once at exit.
   IPRISM_SCOPED_TIMER("reachtube.compute", "reachtube");
 
-  ReachTube tube;
-  tube.slices.assign(static_cast<std::size_t>(slices_) + 1, {});
-
   const detail::ScratchLease lease(session.state().scratch_pool,
                                    scratch_shape(obstacles.size()));
   TubeScratch& scratch = *lease;
@@ -476,27 +514,13 @@ ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::Drivab
     }
   }
 
-  // Slice 0: the current ego state. If it already collides (or is off-map),
-  // every escape route is gone and the tube is empty.
-  build_active_set(obstacles, ego, scratch, common::SliceIdx{0});
-  const Verdict seed = survival_test(map, ego, obstacles, scratch.active,
-                                     common::SliceIdx{0}, /*max_hits=*/1);
-  if (!seed.passed()) return tube;
-  tube.slices[0].push_back(ego);
-
-  std::size_t volume_cells = 1;  // the seed's own cell
-  common::Rng rng(params_.sample_seed);
-  propagate(
-      scratch, tube, volume_cells, rng, 0,
+  return drive(
+      scratch, ego, nullptr, 0,
       [&](common::SliceIdx si) { build_active_set(obstacles, ego, scratch, si); },
       [&](const dynamics::VehicleState& ns, common::SliceIdx si) {
         return survival_test(map, ns, obstacles, scratch.active, si, /*max_hits=*/1).passed();
       },
-      [](int) {}, [](int, std::size_t) {});
-
-  tube.volume = static_cast<double>(volume_cells);
-  IPRISM_DCHECK(tube.volume >= 1.0, "ReachTube: non-empty tube must have positive volume");
-  return tube;
+      kNoLoopBegin, kNoSliceDone);
 }
 
 AttributedTube ReachTubeComputer::compute_attributed(
@@ -509,8 +533,6 @@ AttributedTube ReachTubeComputer::compute_attributed(
 
   AttributedTube out;
   TubeAttribution& attr = out.attribution;
-  ReachTube& tube = out.tube;
-  tube.slices.assign(static_cast<std::size_t>(slices_) + 1, {});
   attr.slices.resize(static_cast<std::size_t>(slices_) + 1);
   attr.rng_at_loop.assign(static_cast<std::size_t>(slices_), common::Rng{});
   attr.volume_prefix.assign(static_cast<std::size_t>(slices_) + 1, 0);
@@ -562,25 +584,17 @@ AttributedTube ReachTubeComputer::compute_attributed(
     return v.passed();
   };
 
-  load_active_set(attr, scratch, 0);
-  if (!classify(ego, common::SliceIdx{0})) {
-    IPRISM_COUNT_ADD("reachtube.blocked_frontier_size", attr.blocked_frontier);
-    return out;  // empty tube; replays may still rescue the seed
-  }
-  tube.slices[0].push_back(ego);
-
-  std::size_t volume_cells = 1;  // the seed's own cell
-  attr.volume_prefix[0] = 1;
-  common::Rng rng(params_.sample_seed);
+  // A rejected seed leaves the tube empty; replays may still rescue it.
   int last_done = 0;
-  propagate(
-      scratch, tube, volume_cells, rng, 0,
+  out.tube = drive(
+      scratch, ego, nullptr, 0,
       [&](common::SliceIdx si) { load_active_set(attr, scratch, si.value()); }, classify,
-      [&](int j) { attr.rng_at_loop[static_cast<std::size_t>(j)] = rng; },
+      [&](int j, const common::Rng& rng) { attr.rng_at_loop[static_cast<std::size_t>(j)] = rng; },
       [&](int j, std::size_t volume) {
         attr.volume_prefix[static_cast<std::size_t>(j) + 1] = volume;
         last_done = j + 1;
       });
+  attr.volume_prefix[0] = out.tube.slices[0].empty() ? 0 : 1;  // the seed's own cell
   // Defensive tail fill past an early pinch-off; replays never start there
   // (no records exist past last_done), but the prefix array stays monotone.
   for (std::size_t k = static_cast<std::size_t>(last_done) + 1;
@@ -589,8 +603,6 @@ AttributedTube ReachTubeComputer::compute_attributed(
   }
 
   IPRISM_COUNT_ADD("reachtube.blocked_frontier_size", attr.blocked_frontier);
-  tube.volume = static_cast<double>(volume_cells);
-  IPRISM_DCHECK(tube.volume >= 1.0, "ReachTube: non-empty tube must have positive volume");
   return out;
 }
 
@@ -600,19 +612,6 @@ void ReachTubeComputer::check_attribution(std::span<const ObstacleTimeline> obst
                    attr.slices.size() == static_cast<std::size_t>(slices_) + 1 &&
                    attr.active_offsets.size() == static_cast<std::size_t>(slices_) + 2,
                "ReachTube: attribution record does not match this obstacles/params set");
-}
-
-int ReachTubeComputer::copy_prefix(const AttributedTube& base, std::uint32_t jstar,
-                                   ReachTube& tube, std::size_t& volume_cells,
-                                   common::Rng& rng) const {
-  // Slices before the divergence are bit-identical by induction: no survival
-  // outcome differs there, so the exact states (and the RNG stream) are the
-  // base run's — copy, don't recompute.
-  const TubeAttribution& attr = base.attribution;
-  for (std::size_t k = 0; k < jstar; ++k) tube.slices[k] = base.tube.slices[k];
-  volume_cells = attr.volume_prefix[jstar - 1];
-  rng = attr.rng_at_loop[jstar - 1];
-  return static_cast<int>(jstar) - 1;
 }
 
 ReachTube ReachTubeComputer::compute_counterfactual(
@@ -636,9 +635,6 @@ ReachTube ReachTubeComputer::compute_counterfactual(
     return base.tube;
   }
   st.replay_from = jstar;
-
-  ReachTube tube;
-  tube.slices.assign(static_cast<std::size_t>(slices_) + 1, {});
 
   const detail::ScratchLease lease(session.state().scratch_pool,
                                    scratch_shape(obstacles.size()));
@@ -666,30 +662,15 @@ ReachTube ReachTubeComputer::compute_counterfactual(
     return survival_test(map, ns, obstacles, scratch.active, si, /*max_hits=*/1).passed();
   };
 
-  std::size_t volume_cells = 0;
-  common::Rng rng(params_.sample_seed);
-  int first_loop = 0;
-  if (jstar == 0) {
-    // The seed itself was blocker-rejected in the base run; the replay
-    // starts from scratch (memo still answers the shared candidates).
-    load_active_set(attr, scratch, 0);
-    if (!test(ego, common::SliceIdx{0})) return tube;
-    tube.slices[0].push_back(ego);
-    volume_cells = 1;
-  } else {
-    first_loop = copy_prefix(base, jstar, tube, volume_cells, rng);
-  }
   // The active set is the base run's, filtered through this replay's
   // exclusion while loading — identical to rebuilding it, since the disc
-  // test never depended on exclusions.
-  propagate(
-      scratch, tube, volume_cells, rng, first_loop,
+  // test never depended on exclusions. At jstar == 0 the seed itself was
+  // blocker-rejected in the base run, so the replay starts from the seed
+  // test (the memo still answers the shared candidates).
+  return drive(
+      scratch, ego, &base, jstar,
       [&](common::SliceIdx si) { load_active_set(attr, scratch, si.value()); }, test,
-      [](int) {}, [](int, std::size_t) {});
-
-  tube.volume = static_cast<double>(volume_cells);
-  IPRISM_DCHECK(tube.volume >= 1.0, "ReachTube: non-empty tube must have positive volume");
-  return tube;
+      kNoLoopBegin, kNoSliceDone);
 }
 
 ReachTube ReachTubeComputer::compute_unblocked(RiskSession& session,
@@ -712,9 +693,6 @@ ReachTube ReachTubeComputer::compute_unblocked(RiskSession& session,
   }
   st.replay_from = jstar;
 
-  ReachTube tube;
-  tube.slices.assign(static_cast<std::size_t>(slices_) + 1, {});
-
   // A plain propagation from the base prefix with no active obstacles: each
   // candidate meets only the map side of the survival test. No memo lookup —
   // a plain map test measured faster than replaying the base record
@@ -726,23 +704,8 @@ ReachTube ReachTubeComputer::compute_unblocked(RiskSession& session,
     return survival_test(map, ns, {}, {}, si, /*max_hits=*/1).passed();
   };
 
-  std::size_t volume_cells = 0;
-  common::Rng rng(params_.sample_seed);
-  int first_loop = 0;
-  if (jstar == 0) {
-    if (!test(ego, common::SliceIdx{0})) return tube;
-    tube.slices[0].push_back(ego);
-    volume_cells = 1;
-  } else {
-    first_loop = copy_prefix(base, jstar, tube, volume_cells, rng);
-  }
-  propagate(
-      scratch, tube, volume_cells, rng, first_loop, [](common::SliceIdx) {}, test,
-      [](int) {}, [](int, std::size_t) {});
-
-  tube.volume = static_cast<double>(volume_cells);
-  IPRISM_DCHECK(tube.volume >= 1.0, "ReachTube: non-empty tube must have positive volume");
-  return tube;
+  return drive(scratch, ego, &base, jstar, [](common::SliceIdx) {}, test, kNoLoopBegin,
+               kNoSliceDone);
 }
 
 ReachTube ReachTubeComputer::compute(RiskSession& session, const roadmap::DrivableMap& map,

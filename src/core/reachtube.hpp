@@ -61,18 +61,15 @@ struct ReachTubeParams {
   ///< paper's published set {0, a_max} x {phi_min, 0, phi_max} is the default
   dynamics::ControlLimits limits{-6.0, 3.0, -0.35, 0.35};
   dynamics::Dimensions ego_dims{4.5, 2.0};
-  double map_margin = 0.3;   ///< footprint shrink for the drivable-area test (m)
   double wheelbase = 2.7;
-  std::uint64_t sample_seed = 42;  ///< RNG stream for uniform sampling
   /// Fan-out switch for StiCalculator's counterfactual tubes (|T^{∅}| and
   /// each per-actor counterfactual are independent replays). 0 = serial
   /// (default); any value > 0 runs the fan-out on the process-wide
-  /// common::ThreadPool::shared() (or a pool injected into StiCalculator),
-  /// whose width is the hardware's — the value sizes nothing. A single tube
-  /// is always computed on one thread — its slices are sequentially
-  /// dependent — so this knob never changes any result, only wall-clock
-  /// (DESIGN.md §8). RiskMonitorParams::tube and SmcTrainConfig::tube plumb
-  /// it into the monitor and SMC training.
+  /// common::ThreadPool::shared(), whose width is the hardware's — the value
+  /// sizes nothing. A single tube is always computed on one thread — its
+  /// slices are sequentially dependent — so this knob never changes any
+  /// result, only wall-clock (DESIGN.md §8). RiskMonitorParams::tube and
+  /// SmcTrainConfig::tube plumb it into the monitor and SMC training.
   int num_threads = 0;
 };
 
@@ -203,6 +200,11 @@ struct CounterfactualStats {
 
 class ReachTubeComputer {
  public:
+  /// Footprint shrink for the drivable-area test (m).
+  static constexpr double kMapMargin = 0.3;
+  /// Seed of the RNG stream that draws the uniform control samples.
+  static constexpr std::uint64_t kSampleSeed = 42;
+
   explicit ReachTubeComputer(const ReachTubeParams& params = {});
 
   /// Validates `params`, throwing via IPRISM_CHECK on the first violated
@@ -288,7 +290,7 @@ class ReachTubeComputer {
   ///                            test (or a memo answer), run only on the
   ///                            candidates the decision pass consults.
   ///
-  /// `on_loop_begin(j)` / `on_slice_done(j, volume)` are the attribution
+  /// `on_loop_begin(j, rng)` / `on_slice_done(j, volume)` are the attribution
   /// recorder's hooks; the plain and replay paths pass no-ops that inline
   /// away. Every caller — plain, attributed, replay — funnels through this
   /// one loop, which is the §12 bit-identity argument: a replay differs from
@@ -319,11 +321,18 @@ class ReachTubeComputer {
   void check_attribution(std::span<const ObstacleTimeline> obstacles,
                          const TubeAttribution& attr) const;
 
-  /// Starts a re-propagation that diverges from `base` at slice `jstar`
-  /// (>= 1): copies slices [0, jstar) and restores the volume and RNG
-  /// snapshots. Returns the first slice loop to run.
-  int copy_prefix(const AttributedTube& base, std::uint32_t jstar, ReachTube& tube,
-                  std::size_t& volume_cells, common::Rng& rng) const;
+  /// The one driver of every tube entry point: allocates the tube, starts
+  /// it, runs propagate() over the remaining slice loops and takes the
+  /// volume. At `jstar` == 0 the start is the seed test — activate slice 0,
+  /// consult the ego, and return the empty tube if it is rejected; `base`
+  /// may be null. A re-propagation that diverges from `base` at slice
+  /// `jstar` >= 1 instead copies base slices [0, jstar) and restores the
+  /// volume and RNG snapshots taken there.
+  template <class Activate, class Consult, class OnLoopBegin, class OnSliceDone>
+  ReachTube drive(detail::TubeScratch& scratch, const dynamics::VehicleState& ego,
+                  const AttributedTube* base, std::uint32_t jstar, Activate&& activate,
+                  Consult&& consult, OnLoopBegin&& on_loop_begin,
+                  OnSliceDone&& on_slice_done) const;
 
   /// Rebuilds `scratch.active` for one slice: obstacles whose footprint disc
   /// cannot touch the seed's conservative reachable disc — or whose index is

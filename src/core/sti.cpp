@@ -14,14 +14,13 @@ double StiResult::max_actor_sti() const {
   return best;
 }
 
-StiCalculator::StiCalculator(const ReachTubeParams& params, common::ThreadPool* pool)
-    : tube_(params) {
-  // One process-wide pool by default: before the engine/session split every
+StiCalculator::StiCalculator(const ReachTubeParams& params) : tube_(params) {
+  // One process-wide pool: before the engine/session split every
   // calculator spawned its own `num_threads` workers, so M monitors meant M
   // pools oversubscribing the machine. `num_threads` now only gates serial
   // vs pooled — the shared pool's width is sized once from the hardware.
   if (params.num_threads > 0) {
-    pool_ = pool != nullptr ? pool : &common::ThreadPool::shared();
+    pool_ = &common::ThreadPool::shared();
   }
 }
 

@@ -65,18 +65,15 @@ class StiCalculator {
  public:
   /// An immutable engine after construction (DESIGN.md §14): every compute
   /// is const and mutates only the session it is handed. With
-  /// `params.num_threads > 0` the N+2 fan-out runs on `pool` when given, or
-  /// on the process-wide common::ThreadPool::shared() — M calculators share
-  /// one set of workers instead of spawning M pools. `num_threads == 0`
-  /// stays strictly serial (pool ignored). Thread count and pool choice
-  /// never change any result (DESIGN.md §8).
-  explicit StiCalculator(const ReachTubeParams& params = {},
-                         common::ThreadPool* pool = nullptr);
+  /// `params.num_threads > 0` the N+2 fan-out runs on the process-wide
+  /// common::ThreadPool::shared() — M calculators share one set of workers
+  /// instead of spawning M pools. `num_threads == 0` stays strictly serial.
+  /// Thread count never changes any result (DESIGN.md §8).
+  explicit StiCalculator(const ReachTubeParams& params = {});
 
   const ReachTubeComputer& tube_computer() const { return tube_; }
-  /// The pool the fan-out runs on: null when serial, otherwise the injected
-  /// pool or ThreadPool::shared(). Exposed so tests can assert the one-pool
-  /// property.
+  /// The pool the fan-out runs on: null when serial, otherwise
+  /// ThreadPool::shared(). Exposed so tests can assert the one-pool property.
   const common::ThreadPool* pool() const { return pool_; }
 
   /// Full evaluation: combined STI plus one counterfactual tube per actor
@@ -124,10 +121,9 @@ class StiCalculator {
                     std::optional<double> volume_empty) const;
 
   ReachTubeComputer tube_;
-  /// Null when params.num_threads == 0 (serial); otherwise the injected pool
-  /// or &ThreadPool::shared(). Never owned: the shared pool outlives every
-  /// engine (function-local static), and injected pools are the injector's
-  /// responsibility.
+  /// Null when params.num_threads == 0 (serial); otherwise
+  /// &ThreadPool::shared(). Never owned: the shared pool outlives every
+  /// engine (function-local static).
   common::ThreadPool* pool_ = nullptr;
 };
 

@@ -4,6 +4,8 @@
 // by [46] (wheelbase ~2.7 m, steering |phi| <= 0.5 rad).
 #pragma once
 
+#include <cstddef>
+
 #include "common/units.hpp"
 #include "dynamics/state.hpp"
 
@@ -37,5 +39,37 @@ class BicycleModel {
   double wheelbase_;
   double max_speed_;
 };
+
+// --- Structure-of-arrays batch form (DESIGN.md §13) -------------------------
+//
+// The reach-tube propagation steps every parent×control pair of a slice in
+// blocks of parallel lanes, with tan(steer) computed once per control rather
+// than once per step. step_batch and BicycleModel::step share one per-lane
+// function, so a lane's result is bit-identical to step() by construction.
+
+/// Input lanes: parent state (x/y/heading/speed) plus the control per lane.
+/// `tan_steer` carries std::tan(steer), precomputed by the caller: the same
+/// libm call on the same input bits step() makes inline.
+struct StepBatchIn {
+  const double* x;
+  const double* y;
+  const double* heading;
+  const double* speed;
+  const double* accel;
+  const double* tan_steer;
+};
+
+/// Output lanes (may not alias the inputs).
+struct StepBatchOut {
+  double* x;
+  double* y;
+  double* heading;
+  double* speed;
+};
+
+/// Steps `n` lanes through the kinematic bicycle model. Bit-identical per
+/// lane to BicycleModel{wheelbase, max_speed}.step(state, control, dt).
+void step_batch(std::size_t n, const StepBatchIn& in, const StepBatchOut& out, double dt,
+                double wheelbase, double max_speed);
 
 }  // namespace iprism::dynamics

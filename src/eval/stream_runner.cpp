@@ -8,7 +8,7 @@
 namespace iprism::eval {
 
 StreamRunner::StreamRunner(const Options& options, common::ThreadPool* pool)
-    : options_(options), monitor_(options.monitor, pool), pool_(pool) {}
+    : options_(options), monitor_(options.monitor), pool_(pool) {}
 
 std::vector<StreamOutcome> StreamRunner::run(std::size_t streams,
                                              const WorldMaker& world_maker,

@@ -65,11 +65,11 @@ class StreamRunner {
   };
 
   /// The runner fans streams across `pool` (default: the process-wide shared
-  /// pool) and forwards the same pool to the monitor engine, so stream-level
-  /// and tube-level parallelism share one set of workers — a monitor fan-out
-  /// issued from a stream task runs inline on that worker (nested same-pool
-  /// parallel_for_each), never deadlocking it. Pass nullptr to run streams
-  /// strictly serially (the determinism reference).
+  /// pool). The monitor engine's tube fan-out runs on the shared pool too, so
+  /// stream-level and tube-level parallelism share one set of workers — a
+  /// monitor fan-out issued from a stream task runs inline on that worker
+  /// (nested same-pool parallel_for_each), never deadlocking it. Pass nullptr
+  /// to run streams strictly serially (the determinism reference).
   explicit StreamRunner(const Options& options,
                         common::ThreadPool* pool = &common::ThreadPool::shared());
 

@@ -160,19 +160,6 @@ TEST(ReachTubeParamsValidation, RejectsNonFiniteDtHorizonAndCellSize) {
       << msg;
 }
 
-TEST(ReachTubeParamsValidation, RejectsNonFiniteOrNegativeMapMargin) {
-  auto p = tube_params();
-  p.map_margin = 0.0;
-  EXPECT_NO_THROW(core::ReachTubeComputer{p});
-  // NaN used to reject every footprint silently: |T| = |T^∅| = 0, STI 0.
-  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
-                     std::numeric_limits<double>::infinity(), -0.1}) {
-    p.map_margin = bad;
-    const std::string msg = message_of([&] { core::ReachTubeComputer computer{p}; });
-    EXPECT_NE(msg.find("ReachTubeParams: map_margin"), std::string::npos) << msg;
-  }
-}
-
 TEST(ReachTubeParamsValidation, RejectsDegenerateEgoDims) {
   for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity()}) {

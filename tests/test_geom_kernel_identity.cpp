@@ -1,14 +1,16 @@
-// GeomKernelIdentity (DESIGN.md §13): the staged propagation — the SoA
-// bicycle step kernel plus one survival test per consulted candidate — must
-// be **bit-identical** to the scalar expressions it replaces, and the whole
-// pipeline must reproduce a scalar generate-then-test reference propagation
-// exactly. The reference here is a test-local replica of the historical
-// interleaved loop built on public API only (BicycleModel::step,
-// dynamics::footprint, DrivableMap::contains_box, OrientedBox::intersects,
-// FlatHashGrid, splitmix64_mix), so the suite proves staged ≡ scalar end to
-// end — and, run under both IPRISM_ENABLE_SIMD settings (the simd-off CI
-// leg), that vectorized and unvectorized step-kernel builds agree
-// transitively. Runs in the asan-ubsan and tsan CI jobs.
+// GeomKernelIdentity (DESIGN.md §13): the staged propagation — blocks of
+// lanes stepped by dynamics::step_batch, then one survival test per
+// consulted candidate — must be **bit-identical** to a scalar
+// generate-then-test reference propagation. The reference here is a
+// test-local replica of the historical interleaved loop built on public API
+// only (BicycleModel::step, dynamics::footprint, DrivableMap::contains_box,
+// OrientedBox::intersects, FlatHashGrid, splitmix64_mix) and the tube
+// engine's public constants, so the suite proves staged ≡ scalar end to end:
+// for plain, attributed, unblocked and replayed tubes, with boundary and
+// uniform control sampling, with and without a saturating per-slice cap.
+// step_batch and BicycleModel::step share one per-lane function, so
+// StepBatchMatchesScalarModel guards that sharing rather than a second copy
+// of the arithmetic. Runs in the asan-ubsan and tsan CI jobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +28,6 @@
 #include "core/sti.hpp"
 #include "dynamics/bicycle.hpp"
 #include "dynamics/state.hpp"
-#include "dynamics/step_batch.hpp"
 #include "dynamics/trajectory.hpp"
 #include "geom/obb.hpp"
 #include "geom/vec2.hpp"
@@ -115,7 +116,7 @@ bool ref_state_ok(const roadmap::DrivableMap& map, const dynamics::VehicleState&
                   std::span<const std::uint32_t> active, std::size_t slice,
                   const core::ReachTubeParams& params, double ego_r) {
   const geom::OrientedBox ego_box = dynamics::footprint(s, params.ego_dims);
-  if (!map.contains_box(ego_box, params.map_margin)) return false;
+  if (!map.contains_box(ego_box, core::ReachTubeComputer::kMapMargin)) return false;
   for (const std::uint32_t oi : active) {
     const core::ObstacleTimeline& obs = obstacles[oi];
     const geom::OrientedBox& box = obs.by_slice[slice];
@@ -185,7 +186,7 @@ core::ReachTube reference_tube(const roadmap::DrivableMap& map,
   tube.slices[0].push_back(ego);
 
   std::size_t volume_cells = 1;
-  common::Rng rng(params.sample_seed);
+  common::Rng rng(core::ReachTubeComputer::kSampleSeed);
   common::FlatHashGrid<RefCellReps> cells;
   common::FlatKeySet occupied;
   std::vector<dynamics::VehicleState> candidates;
@@ -301,6 +302,11 @@ sim::World typology_world(const scenario::ScenarioFactory& factory,
   return world;
 }
 
+/// A per-slice cap the typology tubes hit within a few slices (it cuts the
+/// lead-slowdown base volume from 540 to 149 cells), so the decision pass's
+/// cap exit runs on most slices.
+constexpr std::size_t kSaturatingCap = 40;
+
 void expect_same_tube(const core::ReachTube& a, const core::ReachTube& b) {
   // Exact == on purpose: the guarantee is bit-identity, not closeness.
   EXPECT_EQ(a.volume, b.volume);
@@ -328,17 +334,21 @@ TEST(GeomKernelIdentity, FullTubeMatchesScalarReferenceAcrossTypologies) {
 
     for (bool dedup : {true, false}) {
       for (bool boundary_controls : {true, false}) {
-        SCOPED_TRACE("dedup=" + std::to_string(dedup) +
-                     " boundary_controls=" + std::to_string(boundary_controls));
-        core::ReachTubeParams params;
-        params.dedup = dedup;
-        params.boundary_controls = boundary_controls;
-        const core::ReachTubeComputer rt(params);
-        const auto obstacles =
-            rt.sample_obstacles(forecasts, common::Seconds{world.time()});
-        expect_same_tube(
-            reference_tube(world.map(), world.ego().state, obstacles, params),
-            rt.compute(session, world.map(), world.ego().state, obstacles));
+        for (std::size_t cap : {core::ReachTubeParams{}.max_states_per_slice, kSaturatingCap}) {
+          SCOPED_TRACE("dedup=" + std::to_string(dedup) +
+                       " boundary_controls=" + std::to_string(boundary_controls) +
+                       " max_states_per_slice=" + std::to_string(cap));
+          core::ReachTubeParams params;
+          params.dedup = dedup;
+          params.boundary_controls = boundary_controls;
+          params.max_states_per_slice = cap;
+          const core::ReachTubeComputer rt(params);
+          const auto obstacles =
+              rt.sample_obstacles(forecasts, common::Seconds{world.time()});
+          expect_same_tube(
+              reference_tube(world.map(), world.ego().state, obstacles, params),
+              rt.compute(session, world.map(), world.ego().state, obstacles));
+        }
       }
     }
   }
@@ -349,43 +359,61 @@ TEST(GeomKernelIdentity, AttributedAndReplayMatchScalarReference) {
   // counterfactual replays route through the same staged loop and survival
   // test; all must still land on the scalar reference bits (replays are
   // checked against reference tubes with the excluded actor's timeline
-  // dropped).
+  // dropped). Uniform sampling makes each replay resume the RNG stream from
+  // the base run's snapshot mid-tube; the saturating cap makes it hit the
+  // cap's early exits.
   const scenario::ScenarioFactory factory;
-  const sim::World world = typology_world(factory, scenario::Typology::kLeadSlowdown);
-  const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
+  std::size_t mid_tube_replays = 0;
+  for (scenario::Typology typology : scenario::kAllTypologies) {
+    SCOPED_TRACE(std::string(scenario::typology_name(typology)));
+    const sim::World world = typology_world(factory, typology);
+    const auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
 
-  const core::ReachTubeParams params;
-  const core::ReachTubeComputer rt(params);
-  core::RiskSession session;
-  const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{world.time()});
-  const core::AttributedTube base =
-      rt.compute_attributed(session, world.map(), world.ego().state, obstacles);
-  expect_same_tube(reference_tube(world.map(), world.ego().state, obstacles, params),
-                   base.tube);
+    for (bool boundary_controls : {true, false}) {
+      for (std::size_t cap : {core::ReachTubeParams{}.max_states_per_slice, kSaturatingCap}) {
+        SCOPED_TRACE("boundary_controls=" + std::to_string(boundary_controls) +
+                     " max_states_per_slice=" + std::to_string(cap));
+        core::ReachTubeParams params;
+        params.boundary_controls = boundary_controls;
+        params.max_states_per_slice = cap;
+        const core::ReachTubeComputer rt(params);
+        core::RiskSession session;
+        const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{world.time()});
+        const core::AttributedTube base =
+            rt.compute_attributed(session, world.map(), world.ego().state, obstacles);
+        expect_same_tube(reference_tube(world.map(), world.ego().state, obstacles, params),
+                         base.tube);
 
-  expect_same_tube(
-      reference_tube(world.map(), world.ego().state, {}, params),
-      rt.compute_unblocked(session, world.map(), world.ego().state, obstacles, base,
-                           nullptr));
+        core::CounterfactualStats stats;
+        expect_same_tube(
+            reference_tube(world.map(), world.ego().state, {}, params),
+            rt.compute_unblocked(session, world.map(), world.ego().state, obstacles, base,
+                                 &stats));
+        if (!stats.free && stats.replay_from >= 1) ++mid_tube_replays;
 
-  for (std::size_t i = 0; i < obstacles.size(); ++i) {
-    SCOPED_TRACE("actor_index=" + std::to_string(i));
-    std::vector<core::ObstacleTimeline> reduced;
-    for (std::size_t k = 0; k < obstacles.size(); ++k) {
-      if (k != i) reduced.push_back(obstacles[k]);
+        for (std::size_t i = 0; i < obstacles.size(); ++i) {
+          SCOPED_TRACE("actor_index=" + std::to_string(i));
+          std::vector<core::ObstacleTimeline> reduced;
+          for (std::size_t k = 0; k < obstacles.size(); ++k) {
+            if (k != i) reduced.push_back(obstacles[k]);
+          }
+          expect_same_tube(
+              reference_tube(world.map(), world.ego().state, reduced, params),
+              rt.compute_counterfactual(session, world.map(), world.ego().state, obstacles,
+                                        base, i, &stats));
+          if (!stats.free && stats.replay_from >= 1) ++mid_tube_replays;
+        }
+      }
     }
-    expect_same_tube(
-        reference_tube(world.map(), world.ego().state, reduced, params),
-        rt.compute_counterfactual(session, world.map(), world.ego().state, obstacles, base,
-                                  i, nullptr));
   }
+  // Most typology tubes are free copies of the base; the matrix is only a
+  // replay test if some tube actually resumed from a copied prefix.
+  EXPECT_GT(mid_tube_replays, 0U);
 }
 
 TEST(GeomKernelIdentity, StiBitIdenticalAcrossThreadsAndEngines) {
   // The §13 acceptance matrix: typologies × threads {0,2,4} must all produce
   // the bits of the from-scratch N+2-tube reference (tests/sti_reference.hpp).
-  // Under the simd-off build (and the sanitizer jobs) this same test pins
-  // the IPRISM_ENABLE_SIMD dimension.
   const scenario::ScenarioFactory factory;
   for (scenario::Typology typology : scenario::kAllTypologies) {
     SCOPED_TRACE(std::string(scenario::typology_name(typology)));

@@ -258,14 +258,6 @@ TEST(SharedPool, OnePoolAcrossCalculators) {
   // num_threads == 0 stays strictly serial: no pool at all.
   const core::StiCalculator serial;
   EXPECT_EQ(serial.pool(), nullptr);
-
-  // An injected pool is honored verbatim (test isolation / custom sizing).
-  common::ThreadPool mine(2);
-  const core::StiCalculator injected(two, &mine);
-  EXPECT_EQ(injected.pool(), &mine);
-  // ...but serial ignores even an injected pool.
-  const core::StiCalculator serial_injected(core::ReachTubeParams{}, &mine);
-  EXPECT_EQ(serial_injected.pool(), nullptr);
 }
 
 TEST(SharedPool, MonitorForwardsThePoolToItsCalculator) {
@@ -273,10 +265,6 @@ TEST(SharedPool, MonitorForwardsThePoolToItsCalculator) {
   params.tube.num_threads = 4;
   const core::RiskMonitor monitor(params);
   EXPECT_EQ(monitor.sti_calculator().pool(), &common::ThreadPool::shared());
-
-  common::ThreadPool mine(2);
-  const core::RiskMonitor injected(params, &mine);
-  EXPECT_EQ(injected.sti_calculator().pool(), &mine);
 }
 
 // --- SessionPool (tsan workload) -------------------------------------------

@@ -1,11 +1,11 @@
 // Negative fixture for iprism-simd-discipline.
 //
 // tools/check_tidy_fixtures.sh asserts clang-tidy flags exactly the
-// `CHECK-FLAG` lines. The check confines vendor intrinsics headers,
-// vectorization-forcing pragmas, and per-function target attributes to the
-// batch kernel TUs (src/dynamics/*_batch*) — this file is
-// outside, so every use below must fire; the plain loop, the non-SIMD
-// pragma, and the unannotated function must not.
+// `CHECK-FLAG` lines. The check bans vendor intrinsics headers,
+// vectorization-forcing pragmas, and per-function target attributes
+// everywhere (its default allowlist, src/dynamics/*_batch*, matches no file)
+// — so every use below must fire; the plain loop, the non-SIMD pragma, and
+// the unannotated function must not.
 
 #include <immintrin.h>  // CHECK-FLAG
 

@@ -5,7 +5,7 @@
 // Four of these checks are the compiled successors of rules that
 // tools/iprism_lint.py used to enforce with regexes (see each check's
 // header for what it adds over the regex); iprism-simd-discipline guards
-// the batched-kernel determinism contract (DESIGN.md §13). tools/run_tidy.sh loads the
+// the bicycle step's determinism contract (DESIGN.md §13). tools/run_tidy.sh loads the
 // plugin automatically when the `tidy` CMake preset has built it, and the
 // `lint.tidy-plugin` / `lint.tidy-fixtures` ctest targets gate on it.
 #include "FloatEqCheck.h"

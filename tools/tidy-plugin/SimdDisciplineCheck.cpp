@@ -102,9 +102,9 @@ public:
     if (!isVectorizePragma(llvm::StringRef(Data, static_cast<size_t>(End - Data))))
       return;
     Check.diag(Loc,
-               "vectorization-forcing pragma outside the batch kernel TUs: "
-               "forced vectorization can reassociate or re-round, breaking "
-               "the bit-identity contract (DESIGN.md §13)");
+               "vectorization-forcing pragma: forced vectorization can "
+               "reassociate or re-round, breaking the bit-identity contract "
+               "(DESIGN.md §13)");
   }
 
 private:
@@ -114,9 +114,9 @@ private:
     if (!shouldReport(SM, HashLoc, Check.allowedFiles()))
       return;
     Check.diag(HashLoc,
-               "vendor intrinsics header outside the batch kernel TUs: "
-               "hand-vectorized code bypasses the IPRISM_ENABLE_SIMD switch "
-               "and the bit-identity contract (DESIGN.md §13)");
+               "vendor intrinsics header: hand-vectorized code forks the "
+               "one bicycle step and breaks the bit-identity contract "
+               "(DESIGN.md §13)");
   }
 
   SimdDisciplineCheck &Check;
@@ -143,7 +143,7 @@ void SimdDisciplineCheck::registerPPCallbacks(const SourceManager &SM, Preproces
 
 void SimdDisciplineCheck::registerMatchers(MatchFinder *Finder) {
   // __attribute__((target(...))) / [[gnu::target(...)]] forks codegen per
-  // CPU feature set — per-function, invisible to the build-flag switch.
+  // CPU feature set, per function.
   Finder->addMatcher(functionDecl(hasAttr(attr::Target)).bind("target-fn"), this);
 }
 
@@ -155,9 +155,9 @@ void SimdDisciplineCheck::check(const MatchFinder::MatchResult &Result) {
   if (!shouldReport(SM, Fn->getLocation(), AllowedFiles))
     return;
   diag(Fn->getLocation(),
-       "per-function target attribute outside the batch kernel TUs: "
-       "feature-gated codegen bypasses the IPRISM_ENABLE_SIMD switch and "
-       "the bit-identity contract (DESIGN.md §13)");
+       "per-function target attribute: feature-gated codegen forks the "
+       "one bicycle step and breaks the bit-identity contract "
+       "(DESIGN.md §13)");
 }
 
 } // namespace clang::tidy::iprism

@@ -1,23 +1,21 @@
 // iprism-simd-discipline
 //
-// Flags SIMD back doors outside the batched kernel TUs: vendor intrinsics
-// headers (immintrin.h, arm_neon.h, ...), vectorization-forcing pragmas
-// (`#pragma omp simd`, `#pragma GCC ivdep`, `#pragma clang loop
-// vectorize/interleave`), and per-function target attributes
-// (`__attribute__((target(...)))`).
+// Flags SIMD back doors: vendor intrinsics headers (immintrin.h,
+// arm_neon.h, ...), vectorization-forcing pragmas (`#pragma omp simd`,
+// `#pragma GCC ivdep`, `#pragma clang loop vectorize/interleave`), and
+// per-function target attributes (`__attribute__((target(...)))`).
 //
-// The reach-tube kernels are portable fixed-width lane loops whose
-// vectorization is governed solely by the IPRISM_ENABLE_SIMD build option,
-// and both settings must produce bit-identical tubes (DESIGN.md §13). Any
-// of the constructs above sidesteps that single switch — hand-vectorized
-// code can re-round intermediates, forced vectorization can reassociate
-// reductions, and target attributes fork codegen per CPU — so they are
-// confined to the kernel TUs where the determinism contract is enforced by
-// the GeomKernelIdentity suite.
+// The reach-tube step is one portable scalar function, shared by
+// BicycleModel::step and the lane loop of dynamics::step_batch, compiled
+// with -ffp-contract=off so its bits are fixed (DESIGN.md §13). Any of the
+// constructs above would fork that arithmetic — hand-vectorized code can
+// re-round intermediates, forced vectorization can reassociate reductions,
+// and target attributes fork codegen per CPU — so they are banned.
 //
 // Options:
-//   AllowedFilesRegex — files exempt from the ban (default: the batch
-//                       kernel TUs, src/dynamics/*_batch*).
+//   AllowedFilesRegex — files exempt from the ban. The default,
+//                       src/dynamics/*_batch*, matches no file in the tree,
+//                       so the ban covers the whole tree.
 #ifndef IPRISM_TIDY_PLUGIN_SIMD_DISCIPLINE_CHECK_H
 #define IPRISM_TIDY_PLUGIN_SIMD_DISCIPLINE_CHECK_H
 
