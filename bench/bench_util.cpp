@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -16,7 +15,6 @@
 #include "eval/pkl_training.hpp"
 #include "eval/series.hpp"
 #include "smc/controller.hpp"
-#include "ubench.hpp"
 
 // Sanitizer instrumentation detection: gcc defines __SANITIZE_*__, clang
 // exposes __has_feature. Checked in addition to NDEBUG because the
@@ -41,14 +39,6 @@ const char* nonrelease_build_reason() {
 #elif defined(IPRISM_ENABLE_DCHECKS)
   return "hot-path debug checks enabled (IPRISM_ENABLE_DCHECKS)";
 #else
-  // The benchmark harness itself must be a release build too: a debug
-  // harness library is exactly how an early committed baseline got its
-  // "library_build_type": "debug" taint. ubench compiles
-  // under the same preset as this TU, so this only fires if the build system
-  // regresses — but the guard is the contract, not the build setup.
-  if (std::string_view(ubench::library_build_type()) != "release") {
-    return "benchmark harness library built non-release (ubench reports debug)";
-  }
   return "";
 #endif
 }
@@ -124,16 +114,6 @@ void maybe_write_telemetry(const common::CliArgs& args) {
   } else {
     std::cerr << "--telemetry=" << path << ": could not open file for writing\n";
   }
-}
-
-int strip_require_release_flag(int argc, char** argv) {
-  int out = 0;
-  for (int i = 0; i < argc; ++i) {
-    if (i > 0 && std::string_view(argv[i]) == "--require-release") continue;
-    argv[out++] = argv[i];
-  }
-  for (int i = out; i < argc; ++i) argv[i] = nullptr;
-  return out;
 }
 
 AgentMaker lbc_maker() {

@@ -80,17 +80,9 @@ const char* nonrelease_build_reason();
 /// Guards committed benchmark numbers against non-release builds: when
 /// release_benchmark_build() is false, prints a loud stderr warning — and
 /// with `--require-release` on the command line (as CI passes when
-/// recording BENCH_*.json) exits non-zero instead, so a tainted baseline
-/// can never be recorded silently again. Call first thing in every bench
-/// main(); the flag is consumed here and must not be forwarded to
-/// flag-strict parsers (strip_require_release_flag below removes it in
-/// place).
+/// recording numbers) exits non-zero instead, so a tainted baseline can
+/// never be recorded silently again. Call first thing in every bench main().
 void require_release_guard(int argc, const char* const* argv);
-
-/// Removes `--require-release` from argv in place and returns the new argc
-/// (ubench::run_main rejects unknown flags; CliArgs-based benches tolerate
-/// it, so only overheads needs this).
-int strip_require_release_flag(int argc, char** argv);
 
 /// Aggregate outcome of a (suite x agent [x controller]) evaluation.
 struct SuiteOutcome {

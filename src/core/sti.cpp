@@ -76,87 +76,63 @@ double StiWave1::combined() const { return combined_sti(base.tube.volume, volume
 StiResult StiCalculator::compute(RiskSession& session, const roadmap::DrivableMap& map,
                                  const dynamics::VehicleState& ego, common::Seconds t0,
                                  std::span<const ActorForecast> forecasts) const {
-  const auto obstacles = tube_.sample_obstacles(forecasts, t0);
-  // Wave 1: one attributed propagation — |T| plus the blocked-by record
-  // every derived tube starts from (DESIGN.md §12). |T^{∅}| joins the
-  // wave-2 fan-out as task 0.
-  AttributedTube base;
-  {
-    IPRISM_SCOPED_TIMER("sti.wave1", "sti");
-    base = tube_.compute_attributed(session, map, ego, obstacles);
-  }
-  return fan_out(session, map, ego, forecasts, obstacles, base, std::nullopt);
+  return attribute(session, map, ego, forecasts, wave1(session, map, ego, t0, forecasts));
 }
 
 StiResult StiCalculator::attribute(RiskSession& session, const roadmap::DrivableMap& map,
                                    const dynamics::VehicleState& ego,
                                    std::span<const ActorForecast> forecasts,
                                    const StiWave1& wave) const {
-  return fan_out(session, map, ego, forecasts, wave.obstacles, wave.base, wave.volume_empty);
-}
-
-StiResult StiCalculator::fan_out(RiskSession& session, const roadmap::DrivableMap& map,
-                                 const dynamics::VehicleState& ego,
-                                 std::span<const ActorForecast> forecasts,
-                                 std::span<const ObstacleTimeline> obstacles,
-                                 const AttributedTube& base,
-                                 std::optional<double> volume_empty) const {
+  const std::span<const ObstacleTimeline> obstacles = wave.obstacles;
+  const AttributedTube& base = wave.base;
   StiResult out;
   out.volume_all = base.tube.volume;
+  out.volume_empty = wave.volume_empty;
 
   const bool dup_ids = has_duplicate_valid_ids(forecasts);
 
-  // Wave 2: |T^{∅}| (unless wave 1 already holds it) and the N
-  // counterfactuals T^{/i} (Eq. 4), all derived from the shared base and
-  // fanned across the pool. Free tubes (actor rejected nothing) return the
-  // base volume without touching geometry; replays read the base
-  // attribution — including its precomputed per-slice active obstacle sets
-  // — as immutable shared state, so no replay re-derives active sets.
+  // Wave 2: the N counterfactuals T^{/i} (Eq. 4), all derived from the
+  // shared base and fanned across the pool. Free tubes (actor rejected
+  // nothing) return the base volume without touching geometry; replays read
+  // the base attribution — including its precomputed per-slice active
+  // obstacle sets — as immutable shared state, so no replay re-derives
+  // active sets.
   // Per-task work is uneven, but the pool's one-task-per-index submission
   // already load-balances at the finest possible grain. Aggregation is by
   // index, so results are bit-identical to the serial loop. Every task
   // leases its own scratch from the one session — the lease pool is
   // mutex-guarded exactly so a single session can serve its own fan-out.
-  std::vector<double> vol(forecasts.size() + 1, 0.0);
-  const std::size_t first = volume_empty ? 1 : 0;
-  if (volume_empty) vol[0] = *volume_empty;
+  std::vector<double> vol(forecasts.size(), 0.0);
   {
     IPRISM_SCOPED_TIMER("sti.wave2", "sti");
     IPRISM_COUNT_ADD("sti.counterfactuals", forecasts.size());
-    common::parallel_for_each(pool_, vol.size() - first, [&](std::size_t task) {
-      const std::size_t k = task + first;
-      if (k == 0) {
-        vol[0] = unblocked_volume(tube_, session, map, ego, obstacles, base);
-        return;
-      }
-      const std::size_t i = k - 1;
+    common::parallel_for_each(pool_, vol.size(), [&](std::size_t i) {
       const common::ActorId id{forecasts[i].id};
       if (!id.valid()) {
         // An anonymous actor cannot be excluded: from-scratch would drop
         // nothing, so |T^{/i}| is |T| by definition.
-        vol[k] = out.volume_all;
+        vol[i] = out.volume_all;
         IPRISM_COUNT("sti.cf_free");
         return;
       }
       if (dup_ids) {
         IPRISM_SCOPED_TIMER("sti.counterfactual.scratch", "sti");
-        vol[k] = tube_.compute(session, map, ego, obstacles, id).volume;
+        vol[i] = tube_.compute(session, map, ego, obstacles, id).volume;
         return;
       }
       if (base.attribution.blocks_nothing(i)) {
-        vol[k] = out.volume_all;
+        vol[i] = out.volume_all;
         IPRISM_COUNT("sti.cf_free");
         return;
       }
       IPRISM_SCOPED_TIMER("sti.counterfactual.delta", "sti");
       CounterfactualStats st;
-      vol[k] =
+      vol[i] =
           tube_.compute_counterfactual(session, map, ego, obstacles, base, i, &st).volume;
       IPRISM_COUNT_ADD("sti.cf_delta_states", st.fresh_tests);
     });
   }
-  out.volume_empty = vol[0];
-  out.combined = combined_sti(out.volume_all, out.volume_empty);
+  out.combined = wave.combined();
 
   if (out.volume_empty <= 0.0) {
     // Actor-attributable risk is undefined too; report zero. (Every derived
@@ -170,11 +146,11 @@ StiResult StiCalculator::fan_out(RiskSession& session, const roadmap::DrivableMa
   for (std::size_t i = 0; i < forecasts.size(); ++i) {
     // clamp01 precondition: the raw ratio must at least be a number — a NaN
     // here (0/0 escaping the volume_empty guard above) would clamp silently.
-    IPRISM_DCHECK(std::isfinite(vol[i + 1]),
+    IPRISM_DCHECK(std::isfinite(vol[i]),
                   "STI: counterfactual volume must be finite");
     out.per_actor.emplace_back(
         forecasts[i].id,
-        clamp01((vol[i + 1] - out.volume_all) / out.volume_empty));
+        clamp01((vol[i] - out.volume_all) / out.volume_empty));
   }
   return out;
 }

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -55,7 +54,7 @@ struct StiWave1 {
 // once with blocked-by attribution; |T^{∅}| re-propagates from its prefix
 // with no obstacles, and each |T^{/i}| is derived from it by memoized replay
 // (DESIGN.md §12): actors that rejected nothing are free, the rest re-run
-// fresh geometry only on their delta wavefront. The N+1 derived tubes are
+// fresh geometry only on their delta wavefront. The N counterfactuals are
 // independent const reads of the attributed base, so with `num_threads > 0`
 // they fan out over a common::ThreadPool and aggregate by index — parallel
 // results stay bit-identical to serial ones (DESIGN.md §8). Results equal
@@ -65,7 +64,7 @@ class StiCalculator {
  public:
   /// An immutable engine after construction (DESIGN.md §14): every compute
   /// is const and mutates only the session it is handed. With
-  /// `params.num_threads > 0` the N+2 fan-out runs on the process-wide
+  /// `params.num_threads > 0` the per-actor fan-out runs on the process-wide
   /// common::ThreadPool::shared() — M calculators share one set of workers
   /// instead of spawning M pools. `num_threads == 0` stays strictly serial.
   /// Thread count never changes any result (DESIGN.md §8).
@@ -77,9 +76,10 @@ class StiCalculator {
   const common::ThreadPool* pool() const { return pool_; }
 
   /// Full evaluation: combined STI plus one counterfactual tube per actor
-  /// (Eq. 4 for each i, Eq. 5 for the combined value). Reuses the session's
-  /// warm scratch across ticks; results are bit-identical for fresh and
-  /// reused sessions (SessionIdentity suites).
+  /// (Eq. 4 for each i, Eq. 5 for the combined value), i.e.
+  /// attribute(..., wave1(...)). Reuses the session's warm scratch across
+  /// ticks; results are bit-identical for fresh and reused sessions
+  /// (SessionIdentity suites).
   StiResult compute(RiskSession& session, const roadmap::DrivableMap& map,
                     const dynamics::VehicleState& ego, common::Seconds t0,
                     std::span<const ActorForecast> forecasts) const;
@@ -104,22 +104,14 @@ class StiCalculator {
 
   /// The per-actor wave on top of `wave`, which must come from wave1() over
   /// the same (map, ego, t0, forecasts): the N counterfactuals of Eq. 4,
-  /// fanned out like compute()'s. Bit-identical to compute() on the same
-  /// inputs, without rebuilding |T| or |T^{∅}|.
+  /// fanned over the pool and assembled into the StiResult. The monitor
+  /// calls it on the wave its combined() check already built, without
+  /// rebuilding |T| or |T^{∅}|.
   StiResult attribute(RiskSession& session, const roadmap::DrivableMap& map,
                       const dynamics::VehicleState& ego,
                       std::span<const ActorForecast> forecasts, const StiWave1& wave) const;
 
  private:
-  /// Wave 2: every derived tube of an evaluation — |T^{∅}| as task 0 unless
-  /// `volume_empty` is already known, then one counterfactual per actor —
-  /// fanned over the pool and assembled into the StiResult.
-  StiResult fan_out(RiskSession& session, const roadmap::DrivableMap& map,
-                    const dynamics::VehicleState& ego,
-                    std::span<const ActorForecast> forecasts,
-                    std::span<const ObstacleTimeline> obstacles, const AttributedTube& base,
-                    std::optional<double> volume_empty) const;
-
   ReachTubeComputer tube_;
   /// Null when params.num_threads == 0 (serial); otherwise
   /// &ThreadPool::shared(). Never owned: the shared pool outlives every

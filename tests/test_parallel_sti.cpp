@@ -7,6 +7,10 @@
 // runs double as a data-race check on the fan-out.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "core/monitor.hpp"
@@ -341,39 +345,99 @@ TEST(CounterfactualDeltaIdentity, StiMatchesReferenceAcrossThreadsAndWarmedSessi
   }
 }
 
+void expect_same_stats(const core::CounterfactualStats& a, const core::CounterfactualStats& b) {
+  EXPECT_EQ(a.free, b.free);
+  EXPECT_EQ(a.replay_from, b.replay_from);
+  EXPECT_EQ(a.fresh_tests, b.fresh_tests);
+  EXPECT_EQ(a.memo_hits, b.memo_hits);
+}
+
 TEST(CounterfactualDeltaIdentity, ActorThatBlocksNothingIsFree) {
+  // The O(W + Σδ) cost claim (DESIGN.md §12) as counts instead of timings:
+  // padding a scene with K static actors on a ring far outside the ego's
+  // reachable disc (N up to 128) must leave the base tube, its blocked
+  // frontier, its per-slice active obstacle sets and survival records, and
+  // every original actor's replay work exactly as they are without the
+  // padding, and each padded actor's counterfactual must be the base tube
+  // verbatim with zero re-expansion work.
   const scenario::ScenarioFactory factory;
-  const sim::World world = typology_world(factory, scenario::Typology::kLeadSlowdown);
-  auto forecasts = core::cvtr_forecasts(world, 3.0, 0.25);
+  std::size_t live_replays = 0;
+  for (scenario::Typology typology : scenario::kAllTypologies) {
+    SCOPED_TRACE(std::string(scenario::typology_name(typology)));
+    const sim::World world = typology_world(factory, typology);
+    const common::Seconds t0{world.time()};
+    const dynamics::VehicleState ego = world.ego().state;
+    const auto live = core::cvtr_forecasts(world, 3.0, 0.25);
 
-  // A static actor far outside the ego's reachable disc: it can never reject
-  // a candidate, so its counterfactual must be the base tube verbatim, with
-  // zero re-expansion work.
-  core::ActorForecast far_actor;
-  far_actor.id = 9999;
-  far_actor.dims = dynamics::Dimensions{4.5, 2.0};
-  far_actor.trajectory.append(common::Seconds{world.time()},
-                              dynamics::VehicleState{5000.0, 5000.0, 0.0, 0.0});
-  forecasts.push_back(far_actor);
-  const std::size_t far_index = forecasts.size() - 1;
+    const core::ReachTubeComputer rt;
+    core::RiskSession session;
+    const auto live_obstacles = rt.sample_obstacles(live, t0);
+    const core::AttributedTube unpadded =
+        rt.compute_attributed(session, world.map(), ego, live_obstacles);
+    std::vector<core::CounterfactualStats> live_stats(live.size());
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      rt.compute_counterfactual(session, world.map(), ego, live_obstacles, unpadded, i,
+                                &live_stats[i]);
+      if (!live_stats[i].free) ++live_replays;
+    }
 
-  const core::ReachTubeComputer rt;
-  core::RiskSession session;
-  const auto obstacles = rt.sample_obstacles(forecasts, common::Seconds{world.time()});
-  const core::AttributedTube base =
-      rt.compute_attributed(session, world.map(), world.ego().state, obstacles);
-  ASSERT_TRUE(base.attribution.blocks_nothing(far_index));
+    for (std::size_t pad : {1, 5, 29, 125}) {
+      SCOPED_TRACE("padded_actors=" + std::to_string(pad));
+      auto forecasts = live;
+      for (std::size_t k = 0; k < pad; ++k) {
+        // 400 m+ ring: beyond the reachable disc of every slice of a 3 s horizon.
+        const double angle = 0.37 * static_cast<double>(k);
+        const double radius = 400.0 + 5.0 * static_cast<double>(k);
+        core::ActorForecast far_actor;
+        far_actor.id = 1000 + static_cast<int>(k);
+        far_actor.dims = dynamics::Dimensions{4.5, 2.0};
+        far_actor.trajectory.append(
+            t0, dynamics::VehicleState{ego.x + radius * std::cos(angle),
+                                       ego.y + radius * std::sin(angle), 0.0, 0.0});
+        forecasts.push_back(std::move(far_actor));
+      }
+      const auto obstacles = rt.sample_obstacles(forecasts, t0);
+      const core::AttributedTube base =
+          rt.compute_attributed(session, world.map(), ego, obstacles);
 
-  core::CounterfactualStats stats;
-  const core::ReachTube cf = rt.compute_counterfactual(
-      session, world.map(), world.ego().state, obstacles, base, far_index, &stats);
-  EXPECT_TRUE(stats.free);
-  EXPECT_EQ(stats.fresh_tests, 0u);
-  EXPECT_EQ(stats.memo_hits, 0u);
-  expect_same_tube(base.tube, cf);
-  expect_same_tube(rt.compute(session, world.map(), world.ego().state, obstacles,
-                              common::ActorId{far_actor.id}),
-                   cf);
+      expect_same_tube(unpadded.tube, base.tube);
+      EXPECT_EQ(base.attribution.blocked_frontier, unpadded.attribution.blocked_frontier);
+      // No padded actor enters any slice's active obstacle set, so the base
+      // propagation runs no geometry against them.
+      EXPECT_EQ(base.attribution.active_offsets, unpadded.attribution.active_offsets);
+      EXPECT_EQ(base.attribution.active_flat, unpadded.attribution.active_flat);
+      ASSERT_EQ(base.attribution.slices.size(), unpadded.attribution.slices.size());
+      for (std::size_t j = 0; j < base.attribution.slices.size(); ++j) {
+        EXPECT_EQ(base.attribution.slices[j].tests.size(),
+                  unpadded.attribution.slices[j].tests.size())
+            << "slice " << j;
+      }
+
+      for (std::size_t i = 0; i < forecasts.size(); ++i) {
+        SCOPED_TRACE("actor_index=" + std::to_string(i));
+        core::CounterfactualStats stats;
+        const core::ReachTube cf =
+            rt.compute_counterfactual(session, world.map(), ego, obstacles, base, i, &stats);
+        if (i < live.size()) {
+          expect_same_stats(live_stats[i], stats);
+          continue;
+        }
+        EXPECT_TRUE(base.attribution.blocks_nothing(i));
+        EXPECT_TRUE(stats.free);
+        EXPECT_EQ(stats.fresh_tests, 0u);
+        EXPECT_EQ(stats.memo_hits, 0u);
+        expect_same_tube(base.tube, cf);
+      }
+
+      // The last padded actor's free counterfactual against from-scratch Eq. 4.
+      expect_same_tube(rt.compute(session, world.map(), ego, obstacles,
+                                  common::ActorId{forecasts.back().id}),
+                       base.tube);
+    }
+  }
+  // Some original actor really replays, so "same replay work" compares
+  // non-zero fresh tests and memo hits, not only free copies.
+  EXPECT_GT(live_replays, 0u);
 }
 
 TEST(CounterfactualDeltaIdentity, SeedClassificationCoversEveryBlockerClass) {

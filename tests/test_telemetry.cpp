@@ -158,7 +158,6 @@ TEST(TelemetryMacros, MacrosFollowBuildMode) {
   IPRISM_COUNT("test.macro_counter");
   IPRISM_COUNT_ADD("test.macro_counter", 4);
   IPRISM_GAUGE_SET("test.macro_gauge", 2.5);
-  IPRISM_HISTOGRAM_NS("test.macro_hist", 123);
   {
     IPRISM_SCOPED_TIMER("test.macro_span", "test");
   }
@@ -170,16 +169,12 @@ TEST(TelemetryMacros, MacrosFollowBuildMode) {
   const Gauge* g = reg.find_gauge("test.macro_gauge");
   ASSERT_NE(g, nullptr);
   EXPECT_DOUBLE_EQ(g->value(), 2.5);
-  const Histogram* h = reg.find_histogram("test.macro_hist");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), 1u);
   const Histogram* span = reg.find_histogram("test.macro_span");
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->count(), 1u);
 #else
   EXPECT_EQ(reg.find_counter("test.macro_counter"), nullptr);
   EXPECT_EQ(reg.find_gauge("test.macro_gauge"), nullptr);
-  EXPECT_EQ(reg.find_histogram("test.macro_hist"), nullptr);
   EXPECT_EQ(reg.find_histogram("test.macro_span"), nullptr);
 #endif
 }

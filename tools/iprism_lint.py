@@ -22,9 +22,8 @@ this lint enforces the ones that keep the risk monitor trustworthy:
                     bypass the MetricsRegistry (DESIGN.md §11): their
                     numbers never reach ``--telemetry`` output, and they
                     stay in the binary when telemetry is compiled out.
-                    Time code through IPRISM_SCOPED_TIMER /
-                    IPRISM_HISTOGRAM_NS, or bench::WallTimer for bench
-                    table reporting.
+                    Time code through IPRISM_SCOPED_TIMER, or
+                    bench::WallTimer for bench table reporting.
 
 Four former rules now live in the clang-tidy plugin (tools/tidy-plugin/),
 which sees the AST instead of regexes and therefore has no false positives
@@ -206,7 +205,7 @@ def check_telemetry_discipline(root, sources):
             findings.append(Finding(
                 "telemetry-discipline", rel, i,
                 "raw std::chrono clock read outside src/common/telemetry — "
-                "use IPRISM_SCOPED_TIMER/IPRISM_HISTOGRAM_NS (or "
+                "use IPRISM_SCOPED_TIMER (or "
                 "bench::WallTimer in bench tables)"))
     return findings
 
