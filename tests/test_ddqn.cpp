@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+
 namespace iprism::rl {
 namespace {
 
@@ -115,6 +119,67 @@ TEST(Ddqn, DeterministicGivenSeedAndData) {
     return t.online().forward(std::vector<double>{1.0});
   };
   EXPECT_EQ(run(), run());
+}
+
+/// FNV-1a step over the bit pattern of one double.
+std::uint64_t mix_bits(std::uint64_t h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (int b = 0; b < 8; ++b) {
+    h ^= (bits >> (8 * b)) & 0xFFU;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+/// Trains a small net on a seeded random walk and digests every
+/// train_step() return value and, at the end, every online weight and bias.
+/// target_sync_interval = 3 and a replay capacity below the number of
+/// transitions pushed make target syncs and ring overwrites both frequent;
+/// about one transition in six is terminal.
+std::uint64_t golden_run(int action_count, int batch_size) {
+  DdqnConfig c;
+  c.learning_rate = 5e-3;
+  c.batch_size = batch_size;
+  c.warmup_transitions = 24;
+  c.target_sync_interval = 3;
+  c.replay_capacity = 96;
+  c.epsilon_decay_steps = 200;
+  c.gamma = 0.9;
+  constexpr int kStateSize = 5;
+  DdqnTrainer t(kStateSize, action_count, {16, 12}, c, 17);
+  common::Rng env(23);
+  auto fresh_state = [&] {
+    std::vector<double> s(kStateSize);
+    for (double& x : s) x = env.uniform(-1.0, 1.0);
+    return s;
+  };
+  std::vector<double> state = fresh_state();
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (int i = 0; i < 320; ++i) {
+    Transition tr;
+    tr.action = t.select_action(state);
+    tr.reward = env.uniform(-1.0, 1.0) + (tr.action == 0 ? 0.25 : 0.0);
+    tr.done = env.bernoulli(0.15);
+    tr.state = state;
+    for (double& x : state) x = std::clamp(x + env.normal(0.0, 0.3), -1.0, 1.0);
+    tr.next_state = state;
+    if (tr.done) state = fresh_state();
+    t.observe(std::move(tr));
+    h = mix_bits(h, t.train_step());
+  }
+  for (const Mlp::Layer& layer : t.online().layers()) {
+    for (double w : layer.weights) h = mix_bits(h, w);
+    for (double b : layer.biases) h = mix_bits(h, b);
+  }
+  return h;
+}
+
+TEST(Ddqn, GoldenWeightsAfterTraining) {
+  // Generated from the per-sample train_step (one forward/backward per
+  // transition). Any faster step must reproduce these bits exactly.
+  EXPECT_EQ(golden_run(2, 64), 0x72F542783A774611ULL);
+  EXPECT_EQ(golden_run(3, 20), 0x0E3F491F60181FCDULL);
 }
 
 }  // namespace
