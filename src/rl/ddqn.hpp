@@ -44,7 +44,8 @@ class DdqnTrainer {
   void observe(Transition t);
 
   /// One gradient step (if warm). Returns the mean |TD error| of the batch
-  /// or 0 when skipped.
+  /// or 0 when skipped. The batch runs in blocks of Mlp::kBlock samples,
+  /// with bits identical to one transition at a time (DESIGN.md §15).
   double train_step();
 
   const Mlp& online() const { return online_; }
@@ -58,6 +59,14 @@ class DdqnTrainer {
   common::Rng rng_;
   long env_steps_ = 0;
   long grad_steps_ = 0;
+  std::vector<std::size_t> batch_;  // sampled replay slots, reused every step
+  // Target-network Q-values of each replay slot's next_state, slot-major.
+  // A slot's row is valid while its epoch equals the number of target syncs
+  // so far; push() marks an overwritten slot stale (-1). Grows with the
+  // buffer's size, not its capacity.
+  std::vector<double> target_q_;
+  std::vector<long> target_q_epoch_;
+  std::vector<double> q_block_;  // one block's Q-values, output-minor
 };
 
 }  // namespace iprism::rl

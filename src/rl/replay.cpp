@@ -9,8 +9,9 @@ ReplayBuffer::ReplayBuffer(std::size_t capacity) : capacity_(capacity) {
   buffer_.reserve(capacity);
 }
 
-void ReplayBuffer::push(Transition t) {
+std::size_t ReplayBuffer::push(Transition t) {
   IPRISM_DCHECK(buffer_.size() <= capacity_, "ReplayBuffer: size exceeded capacity");
+  const std::size_t slot = next_;
   if (buffer_.size() < capacity_) {
     buffer_.push_back(std::move(t));
   } else {
@@ -18,15 +19,14 @@ void ReplayBuffer::push(Transition t) {
     buffer_[next_] = std::move(t);
   }
   next_ = (next_ + 1) % capacity_;
+  return slot;
 }
 
-std::vector<const Transition*> ReplayBuffer::sample(std::size_t count,
-                                                    common::Rng& rng) const {
+void ReplayBuffer::sample(std::size_t count, common::Rng& rng,
+                          std::vector<std::size_t>& slots) const {
   IPRISM_CHECK(!buffer_.empty(), "ReplayBuffer: cannot sample from empty buffer");
-  std::vector<const Transition*> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.push_back(&buffer_[rng.index(buffer_.size())]);
-  return out;
+  slots.resize(count);
+  for (std::size_t& slot : slots) slot = rng.index(buffer_.size());
 }
 
 }  // namespace iprism::rl

@@ -21,14 +21,20 @@ class ReplayBuffer {
  public:
   explicit ReplayBuffer(std::size_t capacity);
 
-  void push(Transition t);
+  /// Stores `t`, overwriting the oldest transition once full. Returns the
+  /// slot written: size() - 1 while growing, then the overwritten slot.
+  std::size_t push(Transition t);
 
   std::size_t size() const { return buffer_.size(); }
   std::size_t capacity() const { return capacity_; }
 
-  /// Uniformly samples `count` transitions (with replacement). Requires a
-  /// non-empty buffer (checked).
-  std::vector<const Transition*> sample(std::size_t count, common::Rng& rng) const;
+  /// The transition in `slot` (< size()).
+  const Transition& operator[](std::size_t slot) const { return buffer_[slot]; }
+
+  /// Uniformly samples `count` slots (with replacement) into `slots`,
+  /// replacing its contents; reuse one vector to sample without allocating.
+  /// Requires a non-empty buffer (checked).
+  void sample(std::size_t count, common::Rng& rng, std::vector<std::size_t>& slots) const;
 
  private:
   std::size_t capacity_;

@@ -99,9 +99,9 @@ rl::Mlp SmcTrainer::train_once(const std::function<sim::World(int)>& world_facto
     int step = 0;
     int decisions = 0;
 
+    std::vector<double> state = extract_features(world);
     while (step < max_steps) {
       ++decisions;
-      const std::vector<double> state = extract_features(world);
       const int action = ddqn.select_action(state);
       const auto smc_action = static_cast<SmcAction>(action);
 
@@ -155,11 +155,12 @@ rl::Mlp SmcTrainer::train_once(const std::function<sim::World(int)>& world_facto
       episode_return += reward;
 
       rl::Transition t;
-      t.state = state;
+      t.state = std::move(state);
       t.action = action;
       t.reward = reward;
       t.next_state = extract_features(world);
       t.done = done;
+      state = t.next_state;  // the world is unchanged until the next decision
       ddqn.observe(std::move(t));
       for (int u = 0; u < config_.updates_per_decision; ++u) ddqn.train_step();
 

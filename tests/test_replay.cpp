@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace iprism::rl {
 namespace {
@@ -25,9 +26,10 @@ TEST(ReplayBuffer, GrowsUntilCapacity) {
   buf.push(make(1));
   buf.push(make(2));
   EXPECT_EQ(buf.size(), 2u);
-  buf.push(make(3));
-  buf.push(make(4));
-  EXPECT_EQ(buf.size(), 3u);  // capped
+  EXPECT_EQ(buf.push(make(3)), 2u);
+  EXPECT_EQ(buf.push(make(4)), 0u);  // overwrites the oldest slot
+  EXPECT_EQ(buf.size(), 3u);         // capped
+  EXPECT_EQ(buf[0].reward, 4.0);
 }
 
 TEST(ReplayBuffer, OverwritesOldestFirst) {
@@ -37,8 +39,10 @@ TEST(ReplayBuffer, OverwritesOldestFirst) {
   buf.push(make(3));  // evicts marker 1
   common::Rng rng(5);
   std::set<double> seen;
+  std::vector<std::size_t> slots;
   for (int i = 0; i < 200; ++i) {
-    for (const Transition* t : buf.sample(2, rng)) seen.insert(t->reward);
+    buf.sample(2, rng, slots);
+    for (std::size_t slot : slots) seen.insert(buf[slot].reward);
   }
   EXPECT_EQ(seen.count(1.0), 0u);
   EXPECT_EQ(seen.count(2.0), 1u);
@@ -48,14 +52,17 @@ TEST(ReplayBuffer, OverwritesOldestFirst) {
 TEST(ReplayBuffer, SampleFromEmptyThrows) {
   ReplayBuffer buf(4);
   common::Rng rng(1);
-  EXPECT_THROW(buf.sample(1, rng), std::invalid_argument);
+  std::vector<std::size_t> slots;
+  EXPECT_THROW(buf.sample(1, rng, slots), std::invalid_argument);
 }
 
 TEST(ReplayBuffer, SampleReturnsRequestedCount) {
   ReplayBuffer buf(4);
   buf.push(make(1));
   common::Rng rng(1);
-  EXPECT_EQ(buf.sample(7, rng).size(), 7u);  // with replacement
+  std::vector<std::size_t> slots{9, 9, 9, 9, 9, 9, 9, 9, 9, 9};
+  buf.sample(7, rng, slots);  // with replacement, replacing what was there
+  EXPECT_EQ(slots, std::vector<std::size_t>(7, 0));
 }
 
 TEST(ReplayBuffer, SamplingIsDeterministicGivenRng) {
@@ -63,9 +70,11 @@ TEST(ReplayBuffer, SamplingIsDeterministicGivenRng) {
   for (int i = 0; i < 8; ++i) buf.push(make(i));
   common::Rng r1(3);
   common::Rng r2(3);
-  const auto a = buf.sample(5, r1);
-  const auto b = buf.sample(5, r2);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i]->reward, b[i]->reward);
+  std::vector<std::size_t> a;
+  std::vector<std::size_t> b;
+  buf.sample(5, r1, a);
+  buf.sample(5, r2, b);
+  EXPECT_EQ(a, b);
 }
 
 }  // namespace

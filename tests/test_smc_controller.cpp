@@ -27,11 +27,12 @@ dynamics::VehicleState state(double x, double y, double speed) {
 rl::Mlp constant_policy(int actions, int preferred) {
   common::Rng rng(10);
   rl::Mlp net({kFeatureCount, 8, actions}, rng);
-  std::vector<double> probe(kFeatureCount, 0.3);
+  const std::vector<double> probe(kFeatureCount, 0.3);
+  std::vector<rl::Mlp::Sample> batch;
+  for (int a = 0; a < actions; ++a) batch.push_back({probe, a, a == preferred ? 5.0 : -5.0});
+  std::vector<double> td(batch.size());
   for (int i = 0; i < 400; ++i) {
-    for (int a = 0; a < actions; ++a) {
-      net.accumulate_gradient(probe, a, a == preferred ? 5.0 : -5.0);
-    }
+    net.accumulate_gradient(batch, td);
     net.apply_adam(0.01);
   }
   return net;
